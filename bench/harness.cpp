@@ -405,7 +405,9 @@ void FigureReport::Print(const RunOptions& options) const {
   }
   std::cout << "(*) paper series read off the published figure; "
                "approximate.  Shapes, not absolute values, are the "
-               "reproduction target (see EXPERIMENTS.md).\n\n";
+               "reproduction target.  Sim/Bench = 1.000 is structural: "
+               "the emulators and the model share one storage engine "
+               "(see README).\n\n";
 }
 
 }  // namespace voodb::bench

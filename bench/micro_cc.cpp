@@ -22,7 +22,6 @@
 #include "ocb/workload.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
-#include "voodb/lock_manager.hpp"
 #include "voodb/system.hpp"
 
 namespace voodb::bench {
@@ -33,10 +32,10 @@ namespace legacy_cc {
 // The PR-7 wait-die LockManager, embedded verbatim (modulo the metrics
 // registration and debug dump, which the bench does not exercise).  This
 // is the baseline the wait_die protocol must reproduce bit for bit; it
-// must NOT track upstream changes to src/voodb/lock_manager.cpp.
+// must NOT track changes to the shared 2PL lock table (src/cc).
 // ---------------------------------------------------------------------------
 
-using core::LockMode;
+enum class LockMode { kShared, kExclusive };
 
 struct LegacyStats {
   uint64_t requests = 0;
@@ -439,7 +438,8 @@ CcHooks HooksFor(legacy_cc::LegacyLockManager& lm) {
                        std::function<void()> granted,
                        std::function<void()> aborted) {
     lm.Acquire(txn, oid,
-               write ? core::LockMode::kExclusive : core::LockMode::kShared,
+               write ? legacy_cc::LockMode::kExclusive
+                     : legacy_cc::LockMode::kShared,
                std::move(granted), std::move(aborted));
   };
   hooks.validate = [](uint64_t) { return true; };
@@ -619,8 +619,6 @@ exp::ScenarioResult RunMicroCcScenario(const exp::ScenarioContext& ctx) {
     double best_wall = 0.0;
     DriverStats stats;
     cc::CcStats cc_stats;
-    const core::LockStats* lock_stats = nullptr;
-    core::LockStats wait_die_lock_stats;
     for (uint64_t t = 0; t < trials; ++t) {
       desp::Scheduler sched;
       const auto protocol = cc::MakeProtocol(kind, &sched);
@@ -631,43 +629,34 @@ exp::ScenarioResult RunMicroCcScenario(const exp::ScenarioContext& ctx) {
       if (t == 0 || ms < best_wall) best_wall = ms;
       stats = trial_stats;
       cc_stats = protocol->stats();
-      if (protocol->lock_manager() != nullptr) {
-        wait_die_lock_stats = protocol->lock_manager()->stats();
-        lock_stats = &wait_die_lock_stats;
-      }
     }
     const std::string name = cc::ToString(kind);
     VOODB_CHECK_MSG(stats.committed == expected_txns,
                     name << " lost transactions: " << stats.committed
                          << " of " << expected_txns);
     if (kind == cc::ProtocolKind::kWaitDie) {
-      // The identity gate: the wrapped manager must match the embedded
-      // PR-7 baseline counter for counter on the same workload.
-      VOODB_CHECK_MSG(lock_stats != nullptr, "wait_die lost its manager");
+      // The identity gate: the protocol must match the embedded legacy
+      // baseline counter for counter on the same workload.
       VOODB_CHECK_MSG(
           stats.committed == legacy_stats.committed &&
               stats.restarts == legacy_stats.restarts &&
               stats.sim_time_ms == legacy_stats.sim_time_ms &&
-              lock_stats->requests == legacy_lock_stats.requests &&
-              lock_stats->immediate_grants ==
+              cc_stats.requests == legacy_lock_stats.requests &&
+              cc_stats.immediate_grants ==
                   legacy_lock_stats.immediate_grants &&
-              lock_stats->waits == legacy_lock_stats.waits &&
-              lock_stats->deadlock_aborts ==
-                  legacy_lock_stats.deadlock_aborts &&
-              lock_stats->upgrades == legacy_lock_stats.upgrades,
+              cc_stats.waits == legacy_lock_stats.waits &&
+              cc_stats.aborts_wait_die == legacy_lock_stats.deadlock_aborts &&
+              cc_stats.upgrades == legacy_lock_stats.upgrades,
           "wait_die diverged from the embedded PR-7 baseline: "
               << stats.committed << "/" << stats.restarts << " vs "
               << legacy_stats.committed << "/" << legacy_stats.restarts);
     }
-    if (kind != cc::ProtocolKind::kWaitDie) {
-      // The cause-attributed abort counters must account for every
-      // restart the driver performed (wait-die keeps its counters in the
-      // wrapped LockManager instead).
-      VOODB_CHECK_MSG(cc_stats.TotalAborts() == stats.restarts,
-                      name << " abort accounting off: "
-                           << cc_stats.TotalAborts() << " counted vs "
-                           << stats.restarts << " restarts");
-    }
+    // The cause-attributed abort counters must account for every restart
+    // of the synthetic workload.
+    VOODB_CHECK_MSG(cc_stats.TotalAborts() == stats.restarts,
+                    name << " abort accounting off: "
+                         << cc_stats.TotalAborts() << " counted vs "
+                         << stats.restarts << " restarts");
     RecordEstimate("overhead", name, "wall_ms", Estimate{best_wall, 0.0});
     RecordEstimate("overhead", name, "restarts",
                    Estimate{static_cast<double>(stats.restarts), 0.0});

@@ -71,8 +71,17 @@ RunOutcome RunWorkload(size_t partitions, size_t threads, uint64_t chains,
     kernel.partition(p).SetTraceHook(&Digest::Hook, &digests[p]);
   }
 
+  // Cross-partition pings are counted by the receiving partition, in
+  // state only its own events touch (one cache line each), so threaded
+  // windows never write another partition's memory.
+  struct alignas(64) Inbox {
+    uint64_t receipts = 0;
+  };
+  std::vector<Inbox> inboxes(partitions);
+
   struct Chain {
     ParallelScheduler* kernel;
+    std::vector<Inbox>* inboxes;
     size_t partition;
     size_t partitions;
     uint64_t remaining;
@@ -86,8 +95,9 @@ RunOutcome RunWorkload(size_t partitions, size_t threads, uint64_t chains,
       const double delay = rng.Uniform(0.1, 1.9);
       if (remaining % 4 == 0 && partitions > 1) {
         const size_t next = (partition + 1) % partitions;
+        Inbox* inbox = &(*inboxes)[next];
         kernel->SendTo(partition, next, kLookaheadMs + delay,
-                       [this] { acc += 1; });
+                       [inbox] { ++inbox->receipts; });
       }
       kernel->partition(partition).Schedule(delay, [this] { Hop(); });
     }
@@ -99,6 +109,7 @@ RunOutcome RunWorkload(size_t partitions, size_t threads, uint64_t chains,
     for (uint64_t c = 0; c < chains; ++c) {
       auto chain = std::make_unique<Chain>();
       chain->kernel = &kernel;
+      chain->inboxes = &inboxes;
       chain->partition = p;
       chain->partitions = partitions;
       chain->remaining = depth;
@@ -124,6 +135,11 @@ RunOutcome RunWorkload(size_t partitions, size_t threads, uint64_t chains,
                         .count();
   outcome.windows = kernel.Windows();
   outcome.cross = kernel.CrossEvents();
+  uint64_t receipts = 0;
+  for (const Inbox& inbox : inboxes) receipts += inbox.receipts;
+  VOODB_CHECK_MSG(receipts == outcome.cross,
+                  "cross-partition pings lost: " << receipts << " received, "
+                                                 << outcome.cross << " sent");
   Digest fold;
   for (const Digest& d : digests) fold.Fold(d.h);
   outcome.digest = fold.h;

@@ -36,11 +36,11 @@ int main() {
 
     const desp::LogHistogram& h =
         system.transaction_manager().response_histogram();
-    const core::LockManager* lm = system.transaction_manager().lock_manager();
+    const cc::Protocol* cc = system.transaction_manager().cc_protocol();
     table.AddRow({std::to_string(users),
                   util::FormatDouble(m.ThroughputTps(), 2),
                   std::to_string(m.transaction_restarts),
-                  std::to_string(lm->stats().waits),
+                  std::to_string(cc->stats().waits),
                   util::FormatDouble(h.Quantile(0.5), 1),
                   util::FormatDouble(h.Quantile(0.95), 1),
                   util::FormatDouble(h.Quantile(0.99), 1)});

@@ -1,25 +1,26 @@
 /// \file protocol.hpp
 /// \brief The pluggable concurrency-control protocol interface.
 ///
-/// The paper's §5 multi-user extension hardwires one scheme: object-level
-/// 2PL with wait-die (voodb::core::LockManager).  This subsystem makes the
-/// protocol a first-class axis: the Transaction Manager talks to a
-/// `cc::Protocol` — register a transaction attempt, decide each object
-/// access, validate at commit, release on commit/abort — and the concrete
-/// scheme behind it is swept like any other parameter (`cc_protocol`).
+/// The paper's §5 multi-user extension puts real object locks (2PL with
+/// wait-die) in place of the fixed GETLOCK/RELLOCK delays.  This
+/// subsystem makes the protocol a first-class axis: the Transaction
+/// Manager talks to a `cc::Protocol` — register a transaction attempt,
+/// decide each object access, validate at commit, release on
+/// commit/abort — and the concrete scheme behind it is swept like any
+/// other parameter (`cc_protocol`).
 ///
 /// Five implementations cover the classic protocol families of the
-/// many-core concurrency-control literature (DBx1000 lineage): 2PL
-/// no-wait, 2PL wait-die (wrapping today's LockManager, so the current
-/// behavior is one protocol among peers), 2PL with waits-for cycle
-/// detection, multiversion timestamp ordering with first-committer-wins
-/// writes, and optimistic validate-at-commit with backward validation.
+/// many-core concurrency-control literature (DBx1000 lineage): three 2PL
+/// variants over one shared lock table (no-wait, wait-die, and waits-for
+/// cycle detection; see two_phase.hpp), multiversion timestamp ordering
+/// with first-committer-wins writes, and optimistic validate-at-commit
+/// with backward validation.
 ///
 /// Determinism contract: a protocol may interact with the run only
-/// through its scheduler (decisions fire as zero-delay scheduled events,
-/// exactly like the LockManager's grants) and must never iterate an
-/// unordered container where the order can leak into event order — the
-/// whole subsystem stays bit-identical at any `sim_threads`.
+/// through its scheduler (decisions fire as zero-delay scheduled events)
+/// and must never iterate an unordered container where the order can leak
+/// into event order — the whole subsystem stays bit-identical at any
+/// `sim_threads`.
 #pragma once
 
 #include <cstdint>
@@ -41,10 +42,6 @@ class SpanTracer;
 enum class AbortCause : uint8_t;
 }  // namespace voodb::obs
 
-namespace voodb::core {
-class LockManager;
-}  // namespace voodb::core
-
 namespace voodb::cc {
 
 /// Counters every protocol exposes (`cc.*` in the metric registry).
@@ -53,7 +50,8 @@ struct CcStats {
   uint64_t begins = 0;    ///< transaction attempts registered
   uint64_t requests = 0;  ///< access decisions requested
   uint64_t immediate_grants = 0;
-  uint64_t waits = 0;  ///< requests that had to park
+  uint64_t waits = 0;     ///< requests that had to park
+  uint64_t upgrades = 0;  ///< 2PL S->X upgrades granted
   uint64_t commits = 0;
   // --- aborts by cause -----------------------------------------------------
   uint64_t aborts_no_wait = 0;         ///< no-wait conflict aborts
@@ -65,14 +63,14 @@ struct CcStats {
   uint64_t versions_installed = 0;
   uint64_t versions_pruned = 0;
   /// Queueing time per access decision (immediate grants count as 0, so
-  /// percentiles cover every acquisition — LockManager semantics).
+  /// percentiles cover every acquisition; re-grants of a held lock are
+  /// not sampled).
   desp::Tally wait_times;
   desp::LogHistogram wait_histogram;
   /// Version-chain length sampled at every MVCC read.
   desp::LogHistogram version_chain;
 
-  /// Aborts across every cause (wait-die parity: LockStats counted them
-  /// all as deadlock_aborts).
+  /// Aborts across every cause.
   uint64_t TotalAborts() const {
     return aborts_no_wait + aborts_wait_die + aborts_deadlock +
            aborts_write_conflict + validation_failures;
@@ -149,9 +147,8 @@ class TxnTable {
 /// The protocol interface the Transaction Manager drives.
 class Protocol {
  public:
-  /// Continuation type, matching the LockManager's callback style (the
-  /// scheduler's SmallFunction absorbs it without allocation for small
-  /// captures).
+  /// Continuation type (the scheduler's SmallFunction absorbs it without
+  /// allocation for small captures).
   using Action = std::function<void()>;
 
   explicit Protocol(desp::Scheduler* scheduler);
@@ -193,17 +190,6 @@ class Protocol {
 
   const CcStats& stats() const { return stats_; }
 
-  /// The wait-time distribution feeding PhaseMetrics' lock-wait
-  /// histogram (overridden by the wait-die wrap to expose the
-  /// LockManager's own histogram).
-  virtual const desp::LogHistogram& wait_histogram() const {
-    return stats_.wait_histogram;
-  }
-
-  /// The wrapped LockManager (wait-die only; nullptr otherwise) — keeps
-  /// the pre-subsystem accessor paths alive for tests and diagnostics.
-  virtual const core::LockManager* lock_manager() const { return nullptr; }
-
   /// Registers the `cc.*` counters and histograms with `registry`.
   virtual void RegisterMetrics(obs::MetricRegistry& registry) const;
 
@@ -216,9 +202,9 @@ class Protocol {
   /// Annotates the ambient trace (the requester's, at decision sites)
   /// with `cause`; no-op without a tracer.
   void NoteAbort(obs::AbortCause cause);
-  /// Fires a decision continuation as a zero-delay event (the
-  /// LockManager's grant idiom — decisions never run inline, so event
-  /// order is independent of the protocol's internal control flow).
+  /// Fires a decision continuation as a zero-delay event (decisions never
+  /// run inline, so event order is independent of the protocol's internal
+  /// control flow).
   void Fire(Action action) { scheduler_->Schedule(0.0, std::move(action)); }
 
   desp::Scheduler* scheduler_;

@@ -1,181 +1,135 @@
 #include "cc/two_phase.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
 
 namespace voodb::cc {
-namespace {
 
-bool Conflicting(core::LockMode a, core::LockMode b) {
-  return a == core::LockMode::kExclusive || b == core::LockMode::kExclusive;
+// ---------------------------------------------------------------------------
+// TwoPhaseLocking
+// ---------------------------------------------------------------------------
+
+TwoPhaseLocking::TwoPhaseLocking(desp::Scheduler* scheduler,
+                                 obs::AbortCause cause,
+                                 uint64_t CcStats::*aborts)
+    : Protocol(scheduler),
+      locks_(scheduler, &stats_),
+      cause_(cause),
+      aborts_(aborts) {}
+
+void TwoPhaseLocking::Begin(uint64_t txn, uint64_t age) {
+  locks_.Begin(txn, age);
+  ++stats_.begins;
 }
 
-core::LockMode ModeOf(bool write) {
-  return write ? core::LockMode::kExclusive : core::LockMode::kShared;
+void TwoPhaseLocking::Access(uint64_t txn, ocb::Oid oid, bool write,
+                             Action granted, Action aborted) {
+  VOODB_CHECK_MSG(static_cast<bool>(granted) && static_cast<bool>(aborted),
+                  "Access needs both continuations");
+  const LockMode mode = write ? LockMode::kExclusive : LockMode::kShared;
+  const LockTable::Request request =
+      locks_.TryAcquire(txn, oid, mode, granted);
+  if (request == LockTable::Request::kGranted) return;
+  if (request == LockTable::Request::kStrengthened) {
+    OnHoldersChanged(oid);  // the new X may conflict with parked waiters
+    return;
+  }
+  const bool upgrade = request == LockTable::Request::kUpgradeConflict;
+  if (MustAbort(txn, oid, mode, upgrade)) {
+    NoteDecidedAbort();  // the ambient trace context is the requester's
+    Fire(std::move(aborted));
+    return;
+  }
+  locks_.Park(txn, oid, mode, upgrade, std::move(granted),
+              std::move(aborted));
 }
 
-}  // namespace
+void TwoPhaseLocking::Commit(uint64_t txn) {
+  ++stats_.commits;
+  Release(txn);
+}
+
+void TwoPhaseLocking::Abort(uint64_t txn) { Release(txn); }
+
+void TwoPhaseLocking::Release(uint64_t txn) {
+  locks_.Release(txn, [this](ocb::Oid oid) { OnHoldersChanged(oid); });
+}
+
+void TwoPhaseLocking::NoteDecidedAbort() {
+  ++(stats_.*aborts_);
+  NoteAbort(cause_);
+}
 
 // ---------------------------------------------------------------------------
 // NoWait2pl
 // ---------------------------------------------------------------------------
 
-NoWait2pl::NoWait2pl(desp::Scheduler* scheduler) : Protocol(scheduler) {}
-
-void NoWait2pl::Begin(uint64_t txn, uint64_t age) {
-  (void)age;  // no-wait never compares ages
-  table_.Begin(txn);
-  ++stats_.begins;
-}
-
-bool NoWait2pl::Holds(uint64_t txn, ocb::Oid oid,
-                      core::LockMode mode) const {
-  const auto entry_it = locks_.find(oid);
-  if (entry_it == locks_.end()) return false;
-  for (const Holder& h : entry_it->second.holders) {
-    if (h.txn != txn) continue;
-    return mode == core::LockMode::kShared ||
-           h.mode == core::LockMode::kExclusive;
-  }
-  return false;
-}
-
-bool NoWait2pl::Compatible(const Entry& entry, uint64_t txn,
-                           core::LockMode mode) const {
-  for (const Holder& h : entry.holders) {
-    if (h.txn == txn) continue;  // own locks never conflict
-    if (Conflicting(mode, h.mode)) return false;
-  }
-  return true;
-}
-
-void NoWait2pl::Grant(Entry& entry, uint64_t txn, core::LockMode mode) {
-  for (Holder& h : entry.holders) {
-    if (h.txn == txn) {
-      if (mode == core::LockMode::kExclusive) h.mode = mode;  // upgrade
-      return;
-    }
-  }
-  entry.holders.push_back(Holder{txn, mode});
-}
-
-void NoWait2pl::Access(uint64_t txn, ocb::Oid oid, bool write,
-                       Action granted, Action aborted) {
-  TxnState& state = table_.At(txn);
-  const core::LockMode mode = ModeOf(write);
-  ++stats_.requests;
-  if (Holds(txn, oid, mode)) {
-    ++stats_.immediate_grants;
-    Fire(std::move(granted));
-    return;
-  }
-  Entry& entry = locks_[oid];
-  if (!Compatible(entry, txn, mode)) {
-    // The defining move: conflicts are never waited out.
-    ++stats_.aborts_no_wait;
-    NoteAbort(obs::AbortCause::kNoWait);
-    Fire(std::move(aborted));
-    return;
-  }
-  Grant(entry, txn, mode);
-  state.held.push_back(oid);
-  ++stats_.immediate_grants;
-  stats_.wait_times.Add(0.0);
-  stats_.wait_histogram.Add(0.0);
-  Fire(std::move(granted));
-}
-
-void NoWait2pl::ReleaseAll(uint64_t txn) {
-  TxnState& state = table_.At(txn);
-  std::sort(state.held.begin(), state.held.end());
-  state.held.erase(std::unique(state.held.begin(), state.held.end()),
-                   state.held.end());
-  for (ocb::Oid oid : state.held) {
-    const auto entry_it = locks_.find(oid);
-    if (entry_it == locks_.end()) continue;
-    auto& holders = entry_it->second.holders;
-    holders.erase(
-        std::remove_if(holders.begin(), holders.end(),
-                       [txn](const Holder& h) { return h.txn == txn; }),
-        holders.end());
-    if (holders.empty()) locks_.erase(entry_it);
-  }
-}
-
-void NoWait2pl::Commit(uint64_t txn) {
-  ++stats_.commits;
-  ReleaseAll(txn);
-  table_.End(txn);
-}
-
-void NoWait2pl::Abort(uint64_t txn) {
-  ReleaseAll(txn);
-  table_.End(txn);
-}
+NoWait2pl::NoWait2pl(desp::Scheduler* scheduler)
+    : TwoPhaseLocking(scheduler, obs::AbortCause::kNoWait,
+                      &CcStats::aborts_no_wait) {}
 
 // ---------------------------------------------------------------------------
 // WaitDie2pl
 // ---------------------------------------------------------------------------
 
 WaitDie2pl::WaitDie2pl(desp::Scheduler* scheduler)
-    : Protocol(scheduler), lock_manager_(scheduler) {
-  // A die decision can fire from another transaction's release (the
-  // manager's wait-die re-enforcement); the manager invokes the hook
-  // under the victim's trace context at both decision sites, so the
-  // cause lands on the victim's open attempt.  No-op without a tracer.
-  lock_manager_.SetDieHook([this] { NoteAbort(obs::AbortCause::kWaitDie); });
+    : TwoPhaseLocking(scheduler, obs::AbortCause::kWaitDie,
+                      &CcStats::aborts_wait_die) {}
+
+bool WaitDie2pl::MayWait(uint64_t txn, ocb::Oid oid, LockMode mode,
+                         uint32_t stop) const {
+  // Wait-die: the requester may wait only for younger transactions; a
+  // younger (or tied) requester dies.
+  const uint64_t age = locks_.AgeOf(txn);
+  for (const LockTable::Holder& h : locks_.HoldersOf(oid)) {
+    if (h.txn != txn && Conflicting(mode, h.mode) &&
+        age >= locks_.AgeOf(h.txn)) {
+      return false;
+    }
+  }
+  for (uint32_t id = locks_.FirstWaiter(oid); id != stop;
+       id = locks_.waiter(id).next) {
+    const LockTable::Waiter& w = locks_.waiter(id);
+    if (w.txn != txn && Conflicting(mode, w.mode) &&
+        age >= locks_.AgeOf(w.txn)) {
+      return false;
+    }
+  }
+  return true;
 }
 
-void WaitDie2pl::Begin(uint64_t txn, uint64_t age) {
-  ++stats_.begins;
-  lock_manager_.BeginTransaction(txn, static_cast<double>(age));
+bool WaitDie2pl::MustAbort(uint64_t txn, ocb::Oid oid, LockMode mode,
+                           bool /*upgrade*/) {
+  // Fresh requests queue at the back, so every parked waiter is ahead;
+  // upgrades jump to the front, but overtake the whole queue, so they
+  // must be older than every conflicting waiter too.
+  return !MayWait(txn, oid, mode, LockTable::kNone);
 }
 
-void WaitDie2pl::Access(uint64_t txn, ocb::Oid oid, bool write,
-                        Action granted, Action aborted) {
-  // Pure delegation: the wrapped manager makes exactly the calls the
-  // Transaction Manager used to make, so the event stream is unchanged.
-  // Abort causes are annotated by the manager's die hook (see the
-  // constructor), not by wrapping the continuation here — a per-access
-  // std::function wrap costs an allocation on the uncontended path.
-  lock_manager_.Acquire(txn, oid, ModeOf(write), std::move(granted),
-                        std::move(aborted));
+void WaitDie2pl::OnHoldersChanged(ocb::Oid oid) {
+  // Each waiter is re-checked against the holders and the waiters still
+  // ahead of it.
+  for (uint32_t id = locks_.FirstWaiter(oid); id != LockTable::kNone;) {
+    const LockTable::Waiter& w = locks_.waiter(id);
+    const uint32_t next = w.next;
+    if (!MayWait(w.txn, oid, w.mode, id)) {
+      locks_.Evict(id, [this] { NoteDecidedAbort(); });
+    }
+    id = next;
+  }
 }
-
-void WaitDie2pl::Commit(uint64_t txn) {
-  ++stats_.commits;
-  lock_manager_.ReleaseAll(txn);
-}
-
-void WaitDie2pl::Abort(uint64_t txn) { lock_manager_.ReleaseAll(txn); }
 
 void WaitDie2pl::RegisterMetrics(obs::MetricRegistry& registry) const {
-  // The pre-subsystem `lock.*` metric set, unchanged...
-  lock_manager_.RegisterMetrics(registry);
-  // ...plus the protocol-neutral `cc.*` names.  Counters the wrapped
-  // manager already tracks are aliased onto its cells rather than
-  // counted twice.
-  const core::LockStats& lm = lock_manager_.stats();
-  registry.RegisterCounter("cc.begins", &stats_.begins);
-  registry.RegisterCounter("cc.requests", &lm.requests);
-  registry.RegisterCounter("cc.immediate_grants", &lm.immediate_grants);
-  registry.RegisterCounter("cc.waits", &lm.waits);
-  registry.RegisterCounter("cc.commits", &stats_.commits);
-  registry.RegisterCounter("cc.aborts.no_wait", &stats_.aborts_no_wait);
-  registry.RegisterCounter("cc.aborts.wait_die", &lm.deadlock_aborts);
-  registry.RegisterCounter("cc.aborts.deadlock", &stats_.aborts_deadlock);
-  registry.RegisterCounter("cc.aborts.write_conflict",
-                           &stats_.aborts_write_conflict);
-  registry.RegisterCounter("cc.validation_failures",
-                           &stats_.validation_failures);
-  registry.RegisterCounter("cc.versions.installed",
-                           &stats_.versions_installed);
-  registry.RegisterCounter("cc.versions.pruned", &stats_.versions_pruned);
-  registry.RegisterHistogram("cc.wait_ms", &lm.wait_histogram);
-  registry.RegisterHistogram("cc.version_chain", &stats_.version_chain);
+  Protocol::RegisterMetrics(registry);
+  // The §5 extension's `lock.*` names, over the same cells as `cc.*`.
+  registry.RegisterCounter("lock.requests", &stats_.requests);
+  registry.RegisterCounter("lock.immediate_grants", &stats_.immediate_grants);
+  registry.RegisterCounter("lock.waits", &stats_.waits);
+  registry.RegisterCounter("lock.deadlock_aborts", &stats_.aborts_wait_die);
+  registry.RegisterCounter("lock.upgrades", &stats_.upgrades);
+  registry.RegisterHistogram("lock.wait_ms", &stats_.wait_histogram);
 }
 
 // ---------------------------------------------------------------------------
@@ -183,51 +137,12 @@ void WaitDie2pl::RegisterMetrics(obs::MetricRegistry& registry) const {
 // ---------------------------------------------------------------------------
 
 DeadlockDetect2pl::DeadlockDetect2pl(desp::Scheduler* scheduler)
-    : Protocol(scheduler) {}
-
-void DeadlockDetect2pl::Begin(uint64_t txn, uint64_t age) {
-  (void)age;  // deadlock detection needs no age ordering
-  table_.Begin(txn);
-  ++stats_.begins;
-}
-
-bool DeadlockDetect2pl::Holds(uint64_t txn, ocb::Oid oid,
-                              core::LockMode mode) const {
-  const auto entry_it = locks_.find(oid);
-  if (entry_it == locks_.end()) return false;
-  for (const Holder& h : entry_it->second.holders) {
-    if (h.txn != txn) continue;
-    return mode == core::LockMode::kShared ||
-           h.mode == core::LockMode::kExclusive;
-  }
-  return false;
-}
-
-bool DeadlockDetect2pl::Compatible(const Entry& entry, uint64_t txn,
-                                   core::LockMode mode) const {
-  for (const Holder& h : entry.holders) {
-    if (h.txn == txn) continue;
-    if (Conflicting(mode, h.mode)) return false;
-  }
-  return true;
-}
-
-void DeadlockDetect2pl::Grant(Entry& entry, uint64_t txn,
-                              core::LockMode mode) {
-  for (Holder& h : entry.holders) {
-    if (h.txn == txn) {
-      if (mode == core::LockMode::kExclusive) h.mode = mode;  // upgrade
-      return;
-    }
-  }
-  entry.holders.push_back(Holder{txn, mode});
-}
+    : TwoPhaseLocking(scheduler, obs::AbortCause::kDeadlock,
+                      &CcStats::aborts_deadlock) {}
 
 bool DeadlockDetect2pl::Reaches(uint64_t start, uint64_t origin) {
-  // Iterative DFS over the waits-for graph derived on the fly: a parked
-  // transaction waits on every conflicting holder of its oid and every
-  // conflicting waiter ahead of it in that queue.  Push order follows
-  // holder-vector then queue order, so the walk is deterministic.
+  // Iterative DFS over the waits-for graph.  Push order follows holder
+  // then queue order, so the walk is deterministic.
   dfs_stack_.clear();
   dfs_stack_.push_back(start);
   ++dfs_search_;
@@ -235,187 +150,56 @@ bool DeadlockDetect2pl::Reaches(uint64_t start, uint64_t origin) {
     const uint64_t txn = dfs_stack_.back();
     dfs_stack_.pop_back();
     if (txn == origin) return true;
-    TxnState* state = table_.Find(txn);
-    if (state == nullptr || state->visit_mark == dfs_search_) continue;
-    state->visit_mark = dfs_search_;
-    if (!state->waiting) continue;
-    const auto entry_it = locks_.find(state->waiting_on);
-    if (entry_it == locks_.end()) continue;
-    const Entry& entry = entry_it->second;
-    core::LockMode mode = core::LockMode::kShared;
-    for (const Waiter& w : entry.waiters) {
-      if (w.txn == txn) {
-        mode = w.mode;
-        break;
-      }
-    }
-    for (const Holder& h : entry.holders) {
-      if (h.txn != txn && Conflicting(mode, h.mode)) {
+    uint64_t* mark = locks_.VisitMark(txn);
+    if (mark == nullptr || *mark == dfs_search_) continue;
+    *mark = dfs_search_;
+    const LockTable::Waiter* parked = locks_.ParkedRequest(txn);
+    if (parked == nullptr) continue;
+    for (const LockTable::Holder& h : locks_.HoldersOf(parked->oid)) {
+      if (h.txn != txn && Conflicting(parked->mode, h.mode)) {
         dfs_stack_.push_back(h.txn);
       }
     }
-    for (const Waiter& w : entry.waiters) {
-      if (w.txn == txn) break;  // only waiters ahead are wait targets
-      if (Conflicting(mode, w.mode)) dfs_stack_.push_back(w.txn);
+    // Only waiters ahead of the parked request are wait targets.
+    for (uint32_t id = locks_.FirstWaiter(parked->oid);
+         locks_.waiter(id).txn != txn; id = locks_.waiter(id).next) {
+      if (Conflicting(parked->mode, locks_.waiter(id).mode)) {
+        dfs_stack_.push_back(locks_.waiter(id).txn);
+      }
     }
   }
   return false;
 }
 
-bool DeadlockDetect2pl::WouldDeadlock(uint64_t txn, ocb::Oid oid,
-                                      core::LockMode mode, bool front) {
-  const auto entry_it = locks_.find(oid);
-  if (entry_it == locks_.end()) return false;
-  const Entry& entry = entry_it->second;
+bool DeadlockDetect2pl::MustAbort(uint64_t txn, ocb::Oid oid, LockMode mode,
+                                  bool upgrade) {
   // The prospective wait targets of `txn`: conflicting holders, plus —
   // for back-of-queue requests — every conflicting waiter already parked
   // (they would all be ahead of us).
-  std::vector<uint64_t> targets;
-  for (const Holder& h : entry.holders) {
-    if (h.txn != txn && Conflicting(mode, h.mode)) targets.push_back(h.txn);
+  targets_.clear();
+  for (const LockTable::Holder& h : locks_.HoldersOf(oid)) {
+    if (h.txn != txn && Conflicting(mode, h.mode)) targets_.push_back(h.txn);
   }
-  if (!front) {
-    for (const Waiter& w : entry.waiters) {
-      if (w.txn != txn && Conflicting(mode, w.mode)) {
-        targets.push_back(w.txn);
-      }
+  if (!upgrade) {
+    for (uint32_t id = locks_.FirstWaiter(oid); id != LockTable::kNone;
+         id = locks_.waiter(id).next) {
+      const LockTable::Waiter& w = locks_.waiter(id);
+      if (w.txn != txn && Conflicting(mode, w.mode)) targets_.push_back(w.txn);
     }
   }
-  for (uint64_t target : targets) {
+  for (const uint64_t target : targets_) {
     if (target == txn || Reaches(target, txn)) return true;
-    // Front insertion (upgrade) adds edges *into* us from every parked
-    // waiter we would overtake; a path ending at such a waiter also
-    // closes a cycle.
-    if (front) {
-      for (const Waiter& w : entry.waiters) {
-        if (w.txn == txn || !Conflicting(mode, w.mode)) continue;
-        if (target == w.txn || Reaches(target, w.txn)) return true;
-      }
+    if (!upgrade) continue;
+    // Front insertion adds edges into us from every parked waiter we
+    // would overtake; a path ending at such a waiter also closes a cycle.
+    for (uint32_t id = locks_.FirstWaiter(oid); id != LockTable::kNone;
+         id = locks_.waiter(id).next) {
+      const LockTable::Waiter& w = locks_.waiter(id);
+      if (w.txn == txn || !Conflicting(mode, w.mode)) continue;
+      if (target == w.txn || Reaches(target, w.txn)) return true;
     }
   }
   return false;
-}
-
-void DeadlockDetect2pl::Access(uint64_t txn, ocb::Oid oid, bool write,
-                               Action granted, Action aborted) {
-  TxnState& state = table_.At(txn);
-  const core::LockMode mode = ModeOf(write);
-  ++stats_.requests;
-  if (Holds(txn, oid, mode)) {
-    ++stats_.immediate_grants;
-    Fire(std::move(granted));
-    return;
-  }
-  Entry& entry = locks_[oid];
-  bool is_upgrade = false;
-  for (const Holder& h : entry.holders) {
-    if (h.txn == txn) {
-      is_upgrade = true;
-      break;
-    }
-  }
-  // Same queue discipline as the wait-die manager: fresh requests never
-  // overtake parked waiters; upgrades jump to the queue front (or the
-  // classic upgrade starvation arises).
-  const bool may_grant_now =
-      Compatible(entry, txn, mode) && (is_upgrade || entry.waiters.empty());
-  if (may_grant_now) {
-    Grant(entry, txn, mode);
-    state.held.push_back(oid);
-    ++stats_.immediate_grants;
-    stats_.wait_times.Add(0.0);
-    stats_.wait_histogram.Add(0.0);
-    Fire(std::move(granted));
-    return;
-  }
-  if (WouldDeadlock(txn, oid, mode, is_upgrade)) {
-    ++stats_.aborts_deadlock;
-    NoteAbort(obs::AbortCause::kDeadlock);
-    Fire(std::move(aborted));
-    return;
-  }
-  ++stats_.waits;
-  state.waiting = true;
-  state.waiting_on = oid;
-  Waiter waiter{txn, mode, scheduler_->Now(), std::move(granted)};
-  if (is_upgrade) {
-    entry.waiters.push_front(std::move(waiter));
-  } else {
-    entry.waiters.push_back(std::move(waiter));
-  }
-}
-
-void DeadlockDetect2pl::WakeWaiters(ocb::Oid oid) {
-  const auto entry_it = locks_.find(oid);
-  if (entry_it == locks_.end()) return;
-  Entry& entry = entry_it->second;
-  // FIFO wake-up: grant the head while it is compatible (several shared
-  // requests may be granted together).  No re-validation is needed: the
-  // waits-for graph only loses edges on release/grant, so a queue that
-  // was cycle-free at enqueue time stays cycle-free.
-  while (!entry.waiters.empty()) {
-    Waiter& head = entry.waiters.front();
-    TxnState* waiter_state = table_.Find(head.txn);
-    if (waiter_state == nullptr) {
-      entry.waiters.pop_front();  // waiter's transaction is gone
-      continue;
-    }
-    if (!Compatible(entry, head.txn, head.mode)) break;
-    Grant(entry, head.txn, head.mode);
-    waiter_state->held.push_back(oid);
-    waiter_state->waiting = false;
-    stats_.wait_times.Add(scheduler_->Now() - head.enqueued_at);
-    stats_.wait_histogram.Add(scheduler_->Now() - head.enqueued_at);
-    Fire(std::move(head.granted));
-    entry.waiters.pop_front();
-  }
-  if (entry.holders.empty() && entry.waiters.empty()) {
-    locks_.erase(entry_it);
-  }
-}
-
-void DeadlockDetect2pl::ReleaseAll(uint64_t txn) {
-  TxnState& state = table_.At(txn);
-  std::sort(state.held.begin(), state.held.end());
-  state.held.erase(std::unique(state.held.begin(), state.held.end()),
-                   state.held.end());
-  for (ocb::Oid oid : state.held) {
-    const auto entry_it = locks_.find(oid);
-    if (entry_it == locks_.end()) continue;
-    auto& holders = entry_it->second.holders;
-    holders.erase(
-        std::remove_if(holders.begin(), holders.end(),
-                       [txn](const Holder& h) { return h.txn == txn; }),
-        holders.end());
-    WakeWaiters(oid);
-  }
-  // A parked request may still be queued (abort decided elsewhere): purge
-  // it and re-evaluate that queue — the purged head may have been the
-  // only thing parking compatible waiters behind it.
-  if (state.waiting) {
-    const ocb::Oid oid = state.waiting_on;
-    state.waiting = false;
-    const auto entry_it = locks_.find(oid);
-    if (entry_it != locks_.end()) {
-      auto& waiters = entry_it->second.waiters;
-      waiters.erase(
-          std::remove_if(waiters.begin(), waiters.end(),
-                         [txn](const Waiter& w) { return w.txn == txn; }),
-          waiters.end());
-      WakeWaiters(oid);
-    }
-  }
-}
-
-void DeadlockDetect2pl::Commit(uint64_t txn) {
-  ++stats_.commits;
-  ReleaseAll(txn);
-  table_.End(txn);
-}
-
-void DeadlockDetect2pl::Abort(uint64_t txn) {
-  ReleaseAll(txn);
-  table_.End(txn);
 }
 
 }  // namespace voodb::cc

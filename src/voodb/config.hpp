@@ -92,14 +92,14 @@ struct VoodbConfig {
   /// at eviction); irrelevant for the VM-backed (Texas) configuration,
   /// which has no transactional force point.
   bool flush_on_commit = false;
-  /// Concurrency-control extension (paper §5): acquire real object-level
-  /// S/X two-phase locks through the LockManager instead of charging the
-  /// fixed GETLOCK delay alone.  Wait-die resolves deadlocks; aborted
-  /// transactions restart after an exponential backoff.
+  /// Concurrency-control extension (paper §5): route every object
+  /// operation through the concurrency-control protocol named by
+  /// cc_protocol instead of charging the fixed GETLOCK delay alone.
+  /// Aborted transactions restart after an exponential backoff.
   bool use_lock_manager = false;
   /// Concurrency-control protocol driven by the Transaction Manager when
-  /// use_lock_manager is on (wait_die reproduces the pre-subsystem
-  /// LockManager behavior bit for bit).
+  /// use_lock_manager is on.  The three 2PL variants share one
+  /// cc::LockTable; wait_die is the paper's §5 scheme.
   cc::ProtocolKind cc_protocol = cc::ProtocolKind::kWaitDie;
   /// Mean of the exponential restart backoff (ms) after a CC abort.
   double restart_backoff_ms = 20.0;

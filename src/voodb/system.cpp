@@ -310,9 +310,7 @@ VoodbSystem::Snapshot VoodbSystem::Take() const {
   s.time = scheduler_->Now();
   s.response_histogram = tm_->response_histogram();
   if (tm_->cc_protocol() != nullptr) {
-    // Under wait_die this reads the wrapped LockManager's histogram —
-    // the pre-subsystem series, unchanged.
-    s.lock_wait_histogram = tm_->cc_protocol()->wait_histogram();
+    s.lock_wait_histogram = tm_->cc_protocol()->stats().wait_histogram;
   }
   s.disk_service_histogram = io_->service_histogram();
   if (tracer_ != nullptr) s.component_histograms = tracer_->components();

@@ -39,7 +39,6 @@
 #include "voodb/buffering_manager.hpp"
 #include "voodb/clustering_manager.hpp"
 #include "voodb/config.hpp"
-#include "voodb/lock_manager.hpp"
 #include "voodb/network.hpp"
 #include "voodb/object_manager.hpp"
 
@@ -79,12 +78,6 @@ class TransactionManagerActor : public desp::Actor {
     return response_histogram_;
   }
   double SchedulerUtilization() const { return db_scheduler_.Utilization(); }
-  /// The wait-die lock manager (nullptr unless the active protocol wraps
-  /// one, i.e. cc_protocol=wait_die) — pre-subsystem accessor, kept for
-  /// tests and diagnostics.
-  const LockManager* lock_manager() const {
-    return protocol_ == nullptr ? nullptr : protocol_->lock_manager();
-  }
   /// The concurrency-control protocol (nullptr unless use_lock_manager).
   const cc::Protocol* cc_protocol() const { return protocol_.get(); }
 

@@ -10,7 +10,6 @@
 #include "cc/two_phase.hpp"
 #include "desp/random.hpp"
 #include "ocb/workload.hpp"
-#include "voodb/lock_manager.hpp"
 #include "voodb/system.hpp"
 
 namespace voodb::cc {
@@ -37,21 +36,6 @@ TEST(CcProtocol, KindNames) {
   EXPECT_STREQ(ToString(ProtocolKind::kDeadlockDetect), "deadlock_detect");
   EXPECT_STREQ(ToString(ProtocolKind::kMvcc), "mvcc");
   EXPECT_STREQ(ToString(ProtocolKind::kOcc), "occ");
-}
-
-TEST(CcProtocol, OnlyWaitDieExposesALockManager) {
-  desp::Scheduler sched;
-  for (const ProtocolKind kind :
-       {ProtocolKind::kNoWait, ProtocolKind::kWaitDie,
-        ProtocolKind::kDeadlockDetect, ProtocolKind::kMvcc,
-        ProtocolKind::kOcc}) {
-    const auto protocol = MakeProtocol(kind, &sched);
-    if (kind == ProtocolKind::kWaitDie) {
-      EXPECT_NE(protocol->lock_manager(), nullptr);
-    } else {
-      EXPECT_EQ(protocol->lock_manager(), nullptr);
-    }
-  }
 }
 
 // --- TxnTable pooling --------------------------------------------------------
@@ -139,7 +123,7 @@ TEST(CcNoWait, UpgradeOfOwnSharedLockSucceedsWhenSoleHolder) {
   EXPECT_EQ(cc.ActiveTransactions(), 0u);
 }
 
-// --- 2PL wait-die (delegation) ----------------------------------------------
+// --- 2PL wait-die -------------------------------------------------------------
 
 TEST(CcWaitDie, MatchesLockManagerSemantics) {
   desp::Scheduler sched;
@@ -167,9 +151,8 @@ TEST(CcWaitDie, MatchesLockManagerSemantics) {
   EXPECT_TRUE(old_granted);
   cc.Commit(1);
   EXPECT_EQ(cc.ActiveTransactions(), 0u);
-  ASSERT_NE(cc.lock_manager(), nullptr);
-  EXPECT_EQ(cc.lock_manager()->stats().deadlock_aborts, 1u);
-  EXPECT_EQ(cc.lock_manager()->stats().waits, 1u);
+  EXPECT_EQ(cc.stats().aborts_wait_die, 1u);
+  EXPECT_EQ(cc.stats().waits, 1u);
 }
 
 // --- 2PL deadlock detection --------------------------------------------------
@@ -458,13 +441,10 @@ TEST(CcSystem, EveryProtocolCompletesAContendedRun) {
     EXPECT_EQ(sys.transaction_manager().inflight_pool_live(), 0u)
         << ToString(kind);
     // Restart accounting agrees between the TM and the protocol.
+    EXPECT_EQ(protocol->stats().TotalAborts(), m.transaction_restarts)
+        << ToString(kind);
     if (kind == ProtocolKind::kWaitDie) {
-      ASSERT_NE(protocol->lock_manager(), nullptr);
-      EXPECT_EQ(protocol->lock_manager()->stats().deadlock_aborts,
-                m.transaction_restarts);
-    } else {
-      EXPECT_EQ(protocol->stats().TotalAborts(), m.transaction_restarts)
-          << ToString(kind);
+      EXPECT_EQ(protocol->stats().aborts_wait_die, m.transaction_restarts);
     }
   }
 }
@@ -472,12 +452,14 @@ TEST(CcSystem, EveryProtocolCompletesAContendedRun) {
 TEST(CcSystem, WaitDieIsTheDefaultProtocol) {
   const ocb::ObjectBase base = ocb::ObjectBase::Generate(ContendedWorkload());
   core::VoodbConfig cfg = ProtocolConfig(ProtocolKind::kWaitDie);
+  cfg.cc_protocol = core::VoodbConfig{}.cc_protocol;
   core::VoodbSystem sys(cfg, &base, nullptr, 13);
   ocb::WorkloadGenerator gen(&base, desp::RandomStream(13));
   sys.RunTransactions(gen, 60);
-  // The pre-subsystem accessor still works: the wrapped LockManager is
-  // reachable through the TM exactly as before the refactor.
-  EXPECT_NE(sys.transaction_manager().lock_manager(), nullptr);
+  const cc::Protocol* protocol = sys.transaction_manager().cc_protocol();
+  ASSERT_NE(protocol, nullptr);
+  EXPECT_EQ(protocol->kind(), ProtocolKind::kWaitDie);
+  EXPECT_GT(protocol->stats().requests, 0u);
 }
 
 TEST(CcSystem, RunsAreDeterministicPerProtocol) {

@@ -44,12 +44,12 @@ TEST(Concurrency, ContendedWorkloadCompletesWithRestarts) {
   // Hot-spot write contention with 8 concurrent transactions must
   // produce at least some wait-die aborts.
   EXPECT_GT(m.transaction_restarts, 0u);
-  const LockManager* lm = sys.transaction_manager().lock_manager();
-  ASSERT_NE(lm, nullptr);
-  EXPECT_EQ(lm->stats().deadlock_aborts, m.transaction_restarts);
-  EXPECT_GT(lm->stats().requests, 0u);
+  const cc::Protocol* cc = sys.transaction_manager().cc_protocol();
+  ASSERT_NE(cc, nullptr);
+  EXPECT_EQ(cc->stats().aborts_wait_die, m.transaction_restarts);
+  EXPECT_GT(cc->stats().requests, 0u);
   // All locks were released at the end.
-  EXPECT_EQ(lm->ActiveTransactions(), 0u);
+  EXPECT_EQ(cc->ActiveTransactions(), 0u);
 }
 
 TEST(Concurrency, NoContentionMeansNoRestarts) {
@@ -78,7 +78,7 @@ TEST(Concurrency, LockManagerOffMeansNoLockState) {
   VoodbConfig cfg = ContendedConfig();
   cfg.use_lock_manager = false;
   VoodbSystem sys(cfg, &base, nullptr, 13);
-  EXPECT_EQ(sys.transaction_manager().lock_manager(), nullptr);
+  EXPECT_EQ(sys.transaction_manager().cc_protocol(), nullptr);
   ocb::WorkloadGenerator gen(&base, desp::RandomStream(13));
   EXPECT_EQ(sys.RunTransactions(gen, 60).transaction_restarts, 0u);
 }

@@ -15,14 +15,20 @@
 namespace voodb {
 namespace {
 
+/// The system a case runs.  64 bits wide so that CrossCase has no
+/// padding: gtest names a parameter it cannot print by its raw bytes, and
+/// uninitialised padding made those names differ from run to run.
+enum class Store : uint64_t { kTexas = 0, kO2 = 1 };
+
 struct CrossCase {
-  bool o2;           // O2 page server vs Texas store
+  Store store;       // O2 page server vs Texas store
   uint64_t objects;  // base size
   double memory_mb;  // cache / main memory budget
 };
 
 std::string CaseName(const ::testing::TestParamInfo<CrossCase>& info) {
-  return std::string(info.param.o2 ? "O2" : "Texas") + "_no" +
+  const bool o2 = info.param.store == Store::kO2;
+  return std::string(o2 ? "O2" : "Texas") + "_no" +
          std::to_string(info.param.objects) + "_mb" +
          std::to_string(static_cast<int>(info.param.memory_mb));
 }
@@ -31,6 +37,7 @@ class CrossValidation : public ::testing::TestWithParam<CrossCase> {};
 
 TEST_P(CrossValidation, SimulationAgreesWithEmulator) {
   const CrossCase c = GetParam();
+  const bool o2 = c.store == Store::kO2;
   ocb::OcbParameters wl;
   wl.num_classes = 20;
   wl.num_objects = c.objects;
@@ -39,7 +46,7 @@ TEST_P(CrossValidation, SimulationAgreesWithEmulator) {
   constexpr uint64_t kTransactions = 150;
 
   double bench = 0.0;
-  if (c.o2) {
+  if (o2) {
     emu::O2Config cfg;
     cfg.cache_pages =
         static_cast<uint64_t>(c.memory_mb * 1024 * 1024 / 4096);
@@ -56,7 +63,7 @@ TEST_P(CrossValidation, SimulationAgreesWithEmulator) {
         emu_sys.RunTransactions(gen, kTransactions).total_ios);
   }
 
-  core::VoodbConfig cfg = c.o2
+  core::VoodbConfig cfg = o2
                               ? core::SystemCatalog::O2WithCache(c.memory_mb)
                               : core::SystemCatalog::TexasWithMemory(
                                     c.memory_mb);
@@ -76,11 +83,13 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, CrossValidation,
     ::testing::Values(
         // Bases that fit their memory budget (cold-fault regime).
-        CrossCase{true, 1000, 16.0}, CrossCase{false, 1000, 16.0},
-        CrossCase{true, 3000, 16.0}, CrossCase{false, 3000, 16.0},
+        CrossCase{Store::kO2, 1000, 16.0},
+        CrossCase{Store::kTexas, 1000, 16.0},
+        CrossCase{Store::kO2, 3000, 16.0},
+        CrossCase{Store::kTexas, 3000, 16.0},
         // Bases that outgrow it (thrashing regime).
-        CrossCase{true, 4000, 1.0}, CrossCase{false, 4000, 1.0},
-        CrossCase{true, 4000, 0.5}, CrossCase{false, 4000, 0.5}),
+        CrossCase{Store::kO2, 4000, 1.0}, CrossCase{Store::kTexas, 4000, 1.0},
+        CrossCase{Store::kO2, 4000, 0.5}, CrossCase{Store::kTexas, 4000, 0.5}),
     CaseName);
 
 }  // namespace

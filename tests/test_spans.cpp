@@ -221,7 +221,9 @@ TEST(SpanTracing, EverySpanClosesAndComponentsSumExactly) {
   }
   // The contended no-wait run restarts transactions; the protocol must
   // have annotated the aborted attempts.
-  if (m.transaction_restarts > 0) EXPECT_TRUE(saw_abort);
+  if (m.transaction_restarts > 0) {
+    EXPECT_TRUE(saw_abort);
+  }
 }
 
 TEST(SpanTracing, TracingIsSimulationNeutral) {

@@ -62,6 +62,11 @@ TEST(TraceFormat, WriterReaderRoundTripIsBitIdentical) {
       original.push_back({RecordKind::kObject, oid, write});
       original.push_back({RecordKind::kPage, oid * 37 % 4001, write});
     }
+    if (t % 4 == 1) {
+      // A concurrency-control abort; the retry re-records an access.
+      original.push_back({RecordKind::kTxnAbort, 0, false});
+      original.push_back({RecordKind::kObject, static_cast<uint64_t>(t), true});
+    }
     original.push_back({RecordKind::kTxnEnd, 0, false});
   }
   ASSERT_GT(original.size(), kChunkRecords)  // forces multiple chunks
@@ -77,6 +82,9 @@ TEST(TraceFormat, WriterReaderRoundTripIsBitIdentical) {
         break;
       case RecordKind::kTxnEnd:
         recorder.OnTxnEnd();
+        break;
+      case RecordKind::kTxnAbort:
+        recorder.OnTxnAbort();
         break;
       case RecordKind::kObject:
         recorder.OnObject(r.id, r.write);
