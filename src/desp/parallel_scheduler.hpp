@@ -14,7 +14,7 @@
 ///      the minimum cross-partition delay.  No partition can receive a
 ///      new event with time < T + W.
 ///   2. Every partition therefore executes its events with time in
-///      [T, T+W) independently — on worker threads, no locks on the hot
+///      [T, T+W) independently — on pinned lanes, no locks on the hot
 ///      path.
 ///   3. Cross-partition sends are buffered in per-edge mailboxes during
 ///      the window and delivered at the barrier, in a fixed order
@@ -28,6 +28,13 @@
 /// thread count: same event keys, same clocks, same per-partition seq
 /// assignment.  The farm's identity contract extends to single runs.
 ///
+/// Threaded execution pins partitions to lanes: a pooled Run() holds
+/// `lanes` pool threads for the whole call, and lane k always runs the
+/// partitions p with p % lanes == k, so a partition's working set stays
+/// on one core.  Windows carry few events each (tens, against a few
+/// microseconds of barrier), so the barrier is a spin on two atomics
+/// rather than a task submit and condition-variable wait per window.
+///
 /// The scheduler's zero-delay fast lane composes with the protocol
 /// unchanged: `NextEventTime`/`RunWindow` are lane-aware, and a lane
 /// event whose timestamp sits at or past a window's `end` (possible when
@@ -37,6 +44,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <limits>
 #include <vector>
 
@@ -95,16 +103,19 @@ class ParallelScheduler {
   void SendTo(size_t from, size_t to, SimTime delay, Scheduler::Action action,
               int priority = 0);
 
-  /// Runs windows until every partition drains and no mail is pending,
-  /// or Stop() was requested.  With a null `pool` (or a single
-  /// partition) windows execute serially on the calling thread —
-  /// bit-identical to the pooled run.  Returns the number of events
-  /// executed.  The pool must be dedicated to this call (Wait() is the
-  /// barrier).
+  /// Runs windows until every partition drains and no mail is pending.
+  /// Returns the number of events executed.
+  ///
+  /// Windows run on `lanes = min(pool threads, partitions, hardware
+  /// threads)` lanes, each a pool thread held — spinning between
+  /// windows — for the whole call; lane 0 also runs the serial section
+  /// between windows, and the calling thread sleeps until the run ends.
+  /// With a null `pool`, or when that minimum is 1, windows execute
+  /// serially on the calling thread; both paths are bit-identical.  The
+  /// pool must be dedicated to this call.  An exception from a
+  /// partition's event ends the run after its window and is rethrown
+  /// here (the lowest lane's, when several lanes fail in one window).
   uint64_t Run(exp::ThreadPool* pool = nullptr);
-
-  /// Makes Run() return at the next barrier.
-  void Stop() { stop_requested_ = true; }
 
   /// Max partition clock — how far simulated time has advanced.
   SimTime MaxNow() const;
@@ -126,6 +137,18 @@ class ParallelScheduler {
   /// order.  Single-threaded (between windows).
   void DeliverMail();
 
+  /// The barrier's serial section: delivers mail and sets `*end` to the
+  /// next window's end.  Returns false once everything has drained.
+  bool OpenWindow(SimTime window, SimTime* end);
+
+  /// Runs partitions `lane`, `lane + lanes`, ... up to `end`, catching a
+  /// partition's exception into `*error`.
+  void RunLane(size_t lane, size_t lanes, SimTime end,
+               std::exception_ptr* error);
+
+  void RunSerial(SimTime window);
+  void RunPinned(exp::ThreadPool* pool, size_t lanes, SimTime window);
+
   static constexpr SimTime kInfinity = std::numeric_limits<SimTime>::infinity();
 
   std::vector<std::unique_ptr<Scheduler>> schedulers_;
@@ -135,7 +158,6 @@ class ParallelScheduler {
   SimTime explicit_window_ = 0.0;
   uint64_t windows_ = 0;
   uint64_t cross_events_ = 0;
-  bool stop_requested_ = false;
 };
 
 }  // namespace voodb::desp

@@ -3,7 +3,9 @@
 /// determinism, and the bit-identity contract at every thread count.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -145,6 +147,46 @@ TEST(ParallelScheduler, CrossPartitionDeliveryHonorsTimePriorityAndSource) {
   EXPECT_EQ(ps.CrossEvents(), 3u);
 }
 
+TEST(ParallelScheduler, PooledRunRethrowsPartitionError) {
+  ParallelScheduler::Options options;
+  options.partitions = 4;
+  ParallelScheduler ps(options);
+  ps.SetUniformEdgeDelay(1.0);
+  int late = 0;
+  for (size_t p = 0; p < 4; ++p) {
+    ps.partition(p).Schedule(0.5, [p] { VOODB_CHECK_MSG(p != 2, "boom"); });
+    ps.partition(p).Schedule(10.0, [&late] { ++late; });
+  }
+  exp::ExecutorOptions eo;
+  eo.threads = 4;
+  exp::ThreadPool pool(eo);
+  EXPECT_THROW(ps.Run(&pool), util::Error);
+  EXPECT_EQ(late, 0);  // the run stopped after the failing window
+  // The helpers went back to the pool, which still runs new work.
+  std::atomic<bool> ran{false};
+  ASSERT_TRUE(pool.Submit([&ran] { ran = true; }));
+  pool.Wait();
+  EXPECT_TRUE(ran);
+}
+
+TEST(ParallelScheduler, PooledRunOnCancelledPoolRunsSerially) {
+  ParallelScheduler::Options options;
+  options.partitions = 3;
+  ParallelScheduler ps(options);
+  ps.SetUniformEdgeDelay(1.0);
+  std::vector<int> fired(3, 0);
+  for (size_t p = 0; p < 3; ++p) {
+    ps.partition(p).Schedule(0.5, [&fired, p] { ++fired[p]; });
+    ps.partition(p).Schedule(4.0, [&fired, p] { ++fired[p]; });
+  }
+  exp::ExecutorOptions eo;
+  eo.threads = 3;
+  exp::ThreadPool pool(eo);
+  pool.Cancel();
+  EXPECT_EQ(ps.Run(&pool), 6u);
+  EXPECT_EQ(fired, (std::vector<int>{2, 2, 2}));
+}
+
 // --- Bit-identity: serial vs pooled execution ------------------------------
 
 struct KeyTrace {
@@ -176,15 +218,20 @@ class RingWorkload {
     rngs_.reserve(n);
     for (size_t p = 0; p < n; ++p) rngs_.emplace_back(RandomStream(99).Derive(p));
     counts_.assign(n, 0);
-    for (size_t p = 0; p < n; ++p) Chain(p, 40);
+    // Every chain starts from the latest partition clock, so a workload
+    // scheduled after an earlier Run() never mails into a partition's
+    // past.
+    for (size_t p = 0; p < n; ++p) {
+      Chain(p, 40, ps->MaxNow() - ps->partition(p).Now());
+    }
   }
 
   const std::vector<uint64_t>& counts() const { return counts_; }
 
  private:
-  void Chain(size_t p, int remaining) {
+  void Chain(size_t p, int remaining, double offset = 0.0) {
     if (remaining == 0) return;
-    const double delay = rngs_[p].Uniform(0.3, 2.0);
+    const double delay = rngs_[p].Uniform(0.3, 2.0) + offset;
     ps_->partition(p).Schedule(delay, [this, p, remaining] {
       ++counts_[p];
       if (remaining % 4 == 0) {
@@ -210,7 +257,10 @@ struct RingRun {
   uint64_t cross = 0;
 };
 
-RingRun RunRing(size_t partitions, size_t threads, EventQueueKind kind) {
+/// `runs` consecutive Run() calls on one kernel (and one pool), each
+/// after scheduling a fresh ring workload from the partitions' clocks.
+RingRun RunRing(size_t partitions, size_t threads, EventQueueKind kind,
+                size_t runs = 1) {
   ParallelScheduler::Options options;
   options.partitions = partitions;
   options.queue = kind;
@@ -221,24 +271,43 @@ RingRun RunRing(size_t partitions, size_t threads, EventQueueKind kind) {
   for (size_t p = 0; p < partitions; ++p) {
     ps.partition(p).SetTraceHook(&KeyTrace::Record, &traces[p]);
   }
-  RingWorkload workload(&ps, lookahead);
-  RingRun run;
-  if (threads <= 1) {
-    run.executed = ps.Run(nullptr);
-  } else {
+  std::unique_ptr<exp::ThreadPool> pool;
+  if (threads > 1) {
     exp::ExecutorOptions eo;
     eo.threads = threads;
-    exp::ThreadPool pool(eo);
-    run.executed = ps.Run(&pool);
+    pool = std::make_unique<exp::ThreadPool>(eo);
+  }
+  RingRun run;
+  std::vector<std::unique_ptr<RingWorkload>> workloads;
+  for (size_t r = 0; r < runs; ++r) {
+    workloads.push_back(std::make_unique<RingWorkload>(&ps, lookahead));
+    run.executed += ps.Run(pool.get());
+    const std::vector<uint64_t>& counts = workloads.back()->counts();
+    run.counts.insert(run.counts.end(), counts.begin(), counts.end());
   }
   for (size_t p = 0; p < partitions; ++p) {
     run.traces.push_back(std::move(traces[p].keys));
     run.clocks.push_back(ps.partition(p).Now());
   }
-  run.counts = workload.counts();
   run.windows = ps.Windows();
   run.cross = ps.CrossEvents();
   return run;
+}
+
+void ExpectSameRun(const RingRun& pooled, const RingRun& serial,
+                   const std::string& label) {
+  EXPECT_EQ(pooled.executed, serial.executed) << label;
+  EXPECT_EQ(pooled.windows, serial.windows) << label;
+  EXPECT_EQ(pooled.cross, serial.cross) << label;
+  EXPECT_EQ(pooled.counts, serial.counts) << label;
+  ASSERT_EQ(pooled.traces.size(), serial.traces.size()) << label;
+  for (size_t p = 0; p < serial.traces.size(); ++p) {
+    EXPECT_TRUE(SameKeys(pooled.traces[p], serial.traces[p]))
+        << "partition " << p << " diverged: " << label;
+    EXPECT_EQ(
+        std::memcmp(&pooled.clocks[p], &serial.clocks[p], sizeof(double)), 0)
+        << "partition " << p << " clock diverged: " << label;
+  }
 }
 
 class ParallelIdentityTest : public ::testing::TestWithParam<EventQueueKind> {};
@@ -250,19 +319,31 @@ TEST_P(ParallelIdentityTest, PooledRunsAreBitIdenticalToSerial) {
   ASSERT_GT(serial.cross, 0u);
   ASSERT_GT(serial.windows, 1u);  // the window protocol actually engaged
   for (const size_t threads : {2u, 4u, 8u}) {
-    const RingRun pooled = RunRing(partitions, threads, GetParam());
-    EXPECT_EQ(pooled.executed, serial.executed) << threads << " threads";
-    EXPECT_EQ(pooled.windows, serial.windows) << threads << " threads";
-    EXPECT_EQ(pooled.cross, serial.cross) << threads << " threads";
-    EXPECT_EQ(pooled.counts, serial.counts) << threads << " threads";
-    for (size_t p = 0; p < partitions; ++p) {
-      EXPECT_TRUE(SameKeys(pooled.traces[p], serial.traces[p]))
-          << "partition " << p << " diverged at " << threads << " threads";
-      EXPECT_EQ(std::memcmp(&pooled.clocks[p], &serial.clocks[p],
-                            sizeof(double)),
-                0)
-          << "partition " << p << " clock diverged";
-    }
+    ExpectSameRun(RunRing(partitions, threads, GetParam()), serial,
+                  std::to_string(threads) + " threads");
+  }
+}
+
+TEST_P(ParallelIdentityTest, UnevenLaneSplitsAreBitIdenticalToSerial) {
+  // Five partitions split unevenly over 2, 3 or 4 lanes, and at 8
+  // threads there are more threads than partitions.
+  const size_t partitions = 5;
+  const RingRun serial = RunRing(partitions, 1, GetParam());
+  ASSERT_GT(serial.windows, 1u);
+  for (const size_t threads : {2u, 3u, 4u, 8u}) {
+    ExpectSameRun(RunRing(partitions, threads, GetParam()), serial,
+                  std::to_string(threads) + " threads");
+  }
+}
+
+TEST_P(ParallelIdentityTest, ConsecutiveRunsOnOnePoolAreBitIdenticalToSerial) {
+  // The second Run() needs the first one's helpers back in the pool.
+  const size_t partitions = 4;
+  const RingRun serial = RunRing(partitions, 1, GetParam(), /*runs=*/2);
+  ASSERT_EQ(serial.counts.size(), 2 * partitions);
+  for (const size_t threads : {2u, 4u}) {
+    ExpectSameRun(RunRing(partitions, threads, GetParam(), /*runs=*/2),
+                  serial, std::to_string(threads) + " threads, two runs");
   }
 }
 
