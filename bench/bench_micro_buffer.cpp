@@ -30,9 +30,11 @@ void BM_BufferAccess(benchmark::State& state) {
   // Pre-generate the trace so only buffer work is timed.
   std::vector<PageId> trace(1 << 16);
   for (auto& p : trace) p = static_cast<PageId>(rng.Zipf(kPageSpace, 0.9));
+  std::vector<voodb::storage::PageIo> ios;
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(buffer.Access(trace[i], false).hit);
+    ios.clear();
+    benchmark::DoNotOptimize(buffer.AccessInto(trace[i], false, ios));
     i = (i + 1) % trace.size();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
@@ -46,9 +48,12 @@ void BM_BufferThrashing(benchmark::State& state) {
   const ReplacementPolicy policy = kPolicies[state.range(0)];
   BufferManager buffer(64, policy, RandomStream(7));
   RandomStream rng(13);
+  std::vector<voodb::storage::PageIo> ios;
   for (auto _ : state) {
     const auto page = static_cast<PageId>(rng.UniformInt(0, 100000));
-    benchmark::DoNotOptimize(buffer.Access(page, rng.Bernoulli(0.2)).hit);
+    ios.clear();
+    benchmark::DoNotOptimize(
+        buffer.AccessInto(page, rng.Bernoulli(0.2), ios));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.SetLabel(ToString(policy));

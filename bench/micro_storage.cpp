@@ -159,9 +159,15 @@ struct CacheCounts {
   }
 };
 
+/// The old cache's per-access result, its ios vector built per call.
+struct LegacyAccessOutcome {
+  bool hit = false;
+  std::vector<storage::PageIo> ios;
+};
+
 /// The old map-based page cache, verbatim modulo naming: an
 /// unordered_map<PageId, dirty> residency index, a virtual replacement
-/// algorithm, and an AccessOutcome whose ios vector is filled (and
+/// algorithm, and a LegacyAccessOutcome whose ios vector is filled (and
 /// allocated) on every miss — exactly the costs the flat-frame refactor
 /// removed.
 template <typename Algo>
@@ -177,8 +183,8 @@ class LegacyBufferManager {
     return Access(page, write).ios.size();
   }
 
-  storage::AccessOutcome Access(PageId page, bool write) {
-    storage::AccessOutcome outcome;
+  LegacyAccessOutcome Access(PageId page, bool write) {
+    LegacyAccessOutcome outcome;
     const auto it = resident_.find(page);
     if (it != resident_.end()) {
       ++counts_.hits;

@@ -8,7 +8,7 @@ const char* ToString(LockMode m) {
   return m == LockMode::kShared ? "S" : "X";
 }
 
-const InlineVector<LockTable::Holder, 2> LockTable::kNoHolders;
+const util::InlineVector<LockTable::Holder, 2> LockTable::kNoHolders;
 
 LockTable::LockTable(desp::Scheduler* scheduler, CcStats* stats)
     : scheduler_(scheduler), stats_(stats) {

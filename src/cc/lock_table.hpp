@@ -27,11 +27,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "cc/protocol.hpp"
+#include "util/inline_vector.hpp"
 
 namespace voodb::cc {
 
@@ -44,74 +44,6 @@ const char* ToString(LockMode m);
 inline bool Conflicting(LockMode a, LockMode b) {
   return a == LockMode::kExclusive || b == LockMode::kExclusive;
 }
-
-/// A vector of trivially copyable values that keeps its first `N`
-/// elements in place and spills to the heap beyond that.
-template <typename T, uint32_t N>
-class InlineVector {
-  static_assert(std::is_trivially_copyable_v<T>, "values are memcpy'd");
-
- public:
-  InlineVector() {}
-  InlineVector(InlineVector&& other) noexcept { Steal(other); }
-  InlineVector& operator=(InlineVector&& other) noexcept {
-    if (this != &other) {
-      Free();
-      Steal(other);
-    }
-    return *this;
-  }
-  InlineVector(const InlineVector&) = delete;
-  InlineVector& operator=(const InlineVector&) = delete;
-  ~InlineVector() { Free(); }
-
-  T* begin() { return data(); }
-  T* end() { return data() + size_; }
-  const T* begin() const { return data(); }
-  const T* end() const { return data() + size_; }
-
-  void push_back(const T& value) {
-    if (size_ == capacity_) Grow();
-    data()[size_++] = value;
-  }
-  /// Removes `*it`, keeping the order of the rest.
-  void erase(T* it) {
-    std::copy(it + 1, end(), it);
-    --size_;
-  }
-
- private:
-  T* data() { return capacity_ == N ? inline_ : heap_; }
-  const T* data() const { return capacity_ == N ? inline_ : heap_; }
-  void Grow() {
-    T* bigger = new T[capacity_ * 2];
-    std::copy(begin(), end(), bigger);
-    Free();
-    heap_ = bigger;
-    capacity_ *= 2;
-  }
-  void Free() {
-    if (capacity_ != N) delete[] heap_;
-  }
-  void Steal(InlineVector& other) {
-    size_ = other.size_;
-    capacity_ = other.capacity_;
-    if (capacity_ == N) {
-      std::copy(other.inline_, other.inline_ + size_, inline_);
-    } else {
-      heap_ = other.heap_;
-    }
-    other.size_ = 0;
-    other.capacity_ = N;
-  }
-
-  uint32_t size_ = 0;
-  uint32_t capacity_ = N;
-  union {
-    T inline_[N];
-    T* heap_;
-  };
-};
 
 /// The 2PL lock table.  Grants and wake-ups fire as zero-delay events on
 /// the scheduler; the shared counters (requests, immediate grants, waits,
@@ -211,7 +143,7 @@ class LockTable {
   // --- read access for the conflict policies --------------------------------
 
   /// Holders of `oid` in grant order (empty for an unknown oid).
-  const InlineVector<Holder, 2>& HoldersOf(ocb::Oid oid) const {
+  const util::InlineVector<Holder, 2>& HoldersOf(ocb::Oid oid) const {
     return oid < slots_.size() ? slots_[oid].holders : kNoHolders;
   }
   /// First parked request on `oid`, or kNone; follow Waiter::next.
@@ -243,7 +175,7 @@ class LockTable {
 
  private:
   struct Slot {
-    InlineVector<Holder, 2> holders;
+    util::InlineVector<Holder, 2> holders;
     uint32_t head = kNone;  ///< oldest parked request
     uint32_t tail = kNone;  ///< newest parked request
   };
@@ -277,7 +209,7 @@ class LockTable {
   /// mark, and recycles it.
   void FreeWaiter(uint32_t id);
 
-  static const InlineVector<Holder, 2> kNoHolders;
+  static const util::InlineVector<Holder, 2> kNoHolders;
 
   desp::Scheduler* scheduler_;
   CcStats* stats_;

@@ -18,8 +18,16 @@ void Mvcc::Begin(uint64_t txn, uint64_t age) {
 }
 
 size_t Mvcc::VersionChainLength(ocb::Oid oid) const {
-  const auto it = versions_.find(oid);
-  return 1 + (it == versions_.end() ? 0 : it->second.size());
+  return 1 + (oid < versions_.size() ? versions_[oid].size() : 0);
+}
+
+uint64_t& Mvcc::IntentOf(ocb::Oid oid) {
+  VOODB_CHECK_MSG(oid != ocb::kNullOid, "cannot write the null oid");
+  if (oid >= intents_.size()) {
+    intents_.resize(oid + 1, kNoIntent);
+    versions_.resize(oid + 1);
+  }
+  return intents_[oid];
 }
 
 void Mvcc::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
@@ -36,8 +44,9 @@ void Mvcc::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
     Fire(std::move(granted));
     return;
   }
-  const auto [it, inserted] = intents_.emplace(oid, txn);
-  if (!inserted && it->second != txn) {
+  uint64_t& intent = IntentOf(oid);
+  const bool inserted = intent == kNoIntent;
+  if (!inserted && intent != txn) {
     // Another active transaction already intends to write this object:
     // under first-committer-wins one of them must lose — abort the later
     // writer now instead of letting it run to a doomed validation.
@@ -46,7 +55,10 @@ void Mvcc::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
     Fire(std::move(aborted));
     return;
   }
-  if (inserted) state.writes.push_back(oid);
+  if (inserted) {
+    intent = txn;
+    state.writes.push_back(oid);
+  }
   ++stats_.immediate_grants;
   stats_.wait_times.Add(0.0);
   stats_.wait_histogram.Add(0.0);
@@ -56,9 +68,8 @@ void Mvcc::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
 bool Mvcc::ValidateCommit(uint64_t txn) {
   const TxnState& state = table_.At(txn);
   for (ocb::Oid oid : state.writes) {
-    const auto it = versions_.find(oid);
-    if (it != versions_.end() && !it->second.empty() &&
-        it->second.back() > state.begin_ts) {
+    const util::InlineVector<uint64_t, 2>& chain = versions_[oid];
+    if (!chain.empty() && chain.back() > state.begin_ts) {
       // First committer wins: someone installed a version after our
       // snapshot; committing ours would silently overwrite it.
       ++stats_.validation_failures;
@@ -83,20 +94,19 @@ void Mvcc::Commit(uint64_t txn) {
   const uint64_t commit_ts = next_ts_++;
   const uint64_t horizon = OldestActiveSnapshot(txn);
   for (ocb::Oid oid : state.writes) {
-    std::vector<uint64_t>& chain = versions_[oid];
+    util::InlineVector<uint64_t, 2>& chain = versions_[oid];
     chain.push_back(commit_ts);
     ++stats_.versions_installed;
-    intents_.erase(oid);
+    intents_[oid] = kNoIntent;
     // Prune: every active snapshot reads the newest version at or below
     // it, so anything older than the newest version <= horizon is
     // invisible to everyone present and future.
-    size_t keep_from = 0;
-    for (size_t i = 0; i < chain.size(); ++i) {
+    uint32_t keep_from = 0;
+    for (uint32_t i = 0; i < chain.size(); ++i) {
       if (chain[i] <= horizon) keep_from = i;
     }
     if (keep_from > 0) {
-      chain.erase(chain.begin(),
-                  chain.begin() + static_cast<ptrdiff_t>(keep_from));
+      chain.EraseFront(keep_from);
       stats_.versions_pruned += keep_from;
     }
   }
@@ -105,7 +115,7 @@ void Mvcc::Commit(uint64_t txn) {
 
 void Mvcc::Abort(uint64_t txn) {
   TxnState& state = table_.At(txn);
-  for (ocb::Oid oid : state.writes) intents_.erase(oid);
+  for (ocb::Oid oid : state.writes) intents_[oid] = kNoIntent;
   table_.End(txn);
 }
 

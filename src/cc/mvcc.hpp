@@ -13,14 +13,18 @@
 /// oldest active snapshot are pruned, keeping chains short.
 ///
 /// Timestamps are drawn from a protocol-local counter — simulation
-/// determinism carries over untouched.
+/// determinism carries over untouched.  Version chains and write intents
+/// live in dense per-oid slots grown on demand (oids are dense, as in
+/// the LockTable), and a chain keeps its first two versions inline, so a
+/// warm protocol allocates only for a chain longer than any before it.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 #include "cc/protocol.hpp"
+#include "util/inline_vector.hpp"
 
 namespace voodb::cc {
 
@@ -53,10 +57,16 @@ class Mvcc final : public Protocol {
   /// (UINT64_MAX when none) — the pruning horizon.
   uint64_t OldestActiveSnapshot(uint64_t except) const;
 
-  /// Ascending commit timestamps per object; absent chain = only the
+  static constexpr uint64_t kNoIntent = std::numeric_limits<uint64_t>::max();
+
+  /// The writing transaction's slot for `oid` (kNoIntent when free),
+  /// growing the dense arrays to cover `oid`.
+  uint64_t& IntentOf(ocb::Oid oid);
+
+  /// Ascending commit timestamps per object; an empty chain = only the
   /// implicit initial version.
-  std::unordered_map<ocb::Oid, std::vector<uint64_t>> versions_;
-  std::unordered_map<ocb::Oid, uint64_t> intents_;  // oid -> writing txn
+  std::vector<util::InlineVector<uint64_t, 2>> versions_;
+  std::vector<uint64_t> intents_;  // oid -> writing txn, or kNoIntent
   TxnTable<TxnState> table_;
   uint64_t next_ts_ = 1;
 };

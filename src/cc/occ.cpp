@@ -85,16 +85,22 @@ void Occ::Commit(uint64_t txn) {
   TxnState& state = table_.At(txn);
   ++stats_.commits;
   SortUnique(state.writes);
-  if (!state.writes.empty()) {
-    log_.push_back(std::move(state.writes));
-    state.writes.clear();  // moved-from: make the recycle state explicit
-  } else {
-    log_.emplace_back();  // keep commit indices dense
+  // The write set moves into the log (an empty one keeps commit indices
+  // dense); the slot takes a truncated entry's buffer in exchange.
+  log_.push_back(std::move(state.writes));
+  state.writes.clear();  // moved-from: make the recycle state explicit
+  if (!spare_.empty()) {
+    state.writes = std::move(spare_.back());
+    spare_.pop_back();
   }
   table_.End(txn);
   // Truncate write sets no active transaction can still validate against.
   const uint64_t horizon = OldestActiveStart(txn);
   while (log_base_ < horizon && !log_.empty()) {
+    if (log_.front().capacity() > 0) {
+      spare_.push_back(std::move(log_.front()));
+      spare_.back().clear();
+    }
     log_.pop_front();
     ++log_base_;
   }

@@ -59,6 +59,9 @@ class Occ final : public Protocol {
   /// log_[i] holds the writes of the (log_base_ + i)-th commit.
   std::deque<std::vector<ocb::Oid>> log_;
   uint64_t log_base_ = 0;
+  /// Cleared buffers of truncated log entries, handed back to
+  /// transaction slots at commit so write sets stop reallocating.
+  std::vector<std::vector<ocb::Oid>> spare_;
   TxnTable<TxnState> table_;
 };
 

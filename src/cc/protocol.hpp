@@ -24,9 +24,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cc/kind.hpp"
@@ -35,6 +33,7 @@
 #include "desp/stats.hpp"
 #include "ocb/types.hpp"
 #include "util/check.hpp"
+#include "util/hash_index.hpp"
 
 namespace voodb::obs {
 class MetricRegistry;
@@ -78,14 +77,17 @@ struct CcStats {
 };
 
 /// Pooled per-transaction state: a slab of `State` slots recycled through
-/// a free list, so per-attempt registration reuses the previous attempt's
-/// vector capacities instead of allocating (the kernel's zero-allocation
+/// a free list and found through a `util::HashIndex`, so per-attempt
+/// registration reuses the previous attempt's vector capacities and
+/// index slots instead of allocating (the kernel's zero-allocation
 /// discipline applied to protocol bookkeeping).  `State::Recycle()` must
 /// clear the slot for reuse while keeping capacity.
 template <typename State>
 class TxnTable {
  public:
   State& Begin(uint64_t txn) {
+    VOODB_CHECK_MSG(index_.Find(txn) == util::HashIndex::kNone,
+                    "transaction " << txn << " already active");
     uint32_t slot;
     if (!free_.empty()) {
       slot = free_.back();
@@ -94,19 +96,19 @@ class TxnTable {
       slot = static_cast<uint32_t>(slots_.size());
       slots_.emplace_back();
     }
-    const auto [it, inserted] = index_.emplace(txn, slot);
-    (void)it;
-    VOODB_CHECK_MSG(inserted, "transaction " << txn << " already active");
-    return slots_[slot];
+    index_.Insert(txn, slot);
+    slots_[slot].txn = txn;
+    slots_[slot].live = true;
+    return slots_[slot].state;
   }
 
   State* Find(uint64_t txn) {
-    const auto it = index_.find(txn);
-    return it == index_.end() ? nullptr : &slots_[it->second];
+    const uint32_t slot = index_.Find(txn);
+    return slot == util::HashIndex::kNone ? nullptr : &slots_[slot].state;
   }
   const State* Find(uint64_t txn) const {
-    const auto it = index_.find(txn);
-    return it == index_.end() ? nullptr : &slots_[it->second];
+    const uint32_t slot = index_.Find(txn);
+    return slot == util::HashIndex::kNone ? nullptr : &slots_[slot].state;
   }
 
   State& At(uint64_t txn) {
@@ -117,20 +119,24 @@ class TxnTable {
 
   /// Recycles the slot (keeps its heap capacity for the next Begin).
   void End(uint64_t txn) {
-    const auto it = index_.find(txn);
-    VOODB_CHECK_MSG(it != index_.end(),
+    const uint32_t slot = index_.Find(txn);
+    VOODB_CHECK_MSG(slot != util::HashIndex::kNone,
                     "transaction " << txn << " not active");
-    slots_[it->second].Recycle();
-    free_.push_back(it->second);
-    index_.erase(it);
+    slots_[slot].state.Recycle();
+    slots_[slot].live = false;
+    free_.push_back(slot);
+    index_.Erase(txn);
   }
 
-  /// Applies `fn(txn_id, state)` to every active transaction.  Iteration
-  /// order is unspecified — use only for order-insensitive reductions
-  /// (minima, counts), never for anything that can reach the scheduler.
+  /// Applies `fn(txn_id, state)` to every active transaction in slot
+  /// order, which depends on the pool's reuse history — use only for
+  /// order-insensitive reductions (minima, counts), never for anything
+  /// that can reach the scheduler.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& [txn, slot] : index_) fn(txn, slots_[slot]);
+    for (const Slot& slot : slots_) {
+      if (slot.live) fn(slot.txn, slot.state);
+    }
   }
 
   size_t active() const { return index_.size(); }
@@ -139,17 +145,23 @@ class TxnTable {
   size_t capacity() const { return slots_.size(); }
 
  private:
-  std::unordered_map<uint64_t, uint32_t> index_;
-  std::vector<State> slots_;
+  struct Slot {
+    State state;
+    uint64_t txn = 0;
+    bool live = false;
+  };
+
+  util::HashIndex index_;
+  std::vector<Slot> slots_;
   std::vector<uint32_t> free_;
 };
 
 /// The protocol interface the Transaction Manager drives.
 class Protocol {
  public:
-  /// Continuation type (the scheduler's SmallFunction absorbs it without
-  /// allocation for small captures).
-  using Action = std::function<void()>;
+  /// Continuation type: the kernel's SmallFunction, moved untouched from
+  /// the caller into the decision event (or a parked lock request).
+  using Action = desp::Scheduler::Action;
 
   explicit Protocol(desp::Scheduler* scheduler);
   virtual ~Protocol();

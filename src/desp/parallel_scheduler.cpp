@@ -134,7 +134,7 @@ void ParallelScheduler::SendTo(size_t from, size_t to, SimTime delay,
 
 void ParallelScheduler::DeliverMail() {
   const size_t n = schedulers_.size();
-  std::vector<Envelope> merged;
+  std::vector<Envelope>& merged = merged_;
   for (size_t to = 0; to < n; ++to) {
     merged.clear();
     for (size_t from = 0; from < n; ++from) {
@@ -146,12 +146,22 @@ void ParallelScheduler::DeliverMail() {
     // Stable: equal (time, priority) keeps source-ascending order and
     // per-edge FIFO, so the target's seq assignment — and with it the
     // whole downstream execution — is a pure function of mailbox
-    // contents, not of which thread ran which partition.
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const Envelope& a, const Envelope& b) {
-                       if (a.time != b.time) return a.time < b.time;
-                       return a.priority > b.priority;
-                     });
+    // contents, not of which thread ran which partition.  An insertion
+    // sort: each mailbox arrives nearly sorted, and unlike
+    // std::stable_sort it needs no temporary buffer.
+    const auto before = [](const Envelope& a, const Envelope& b) {
+      if (a.time != b.time) return a.time < b.time;
+      return a.priority > b.priority;
+    };
+    for (size_t i = 1; i < merged.size(); ++i) {
+      if (!before(merged[i], merged[i - 1])) continue;
+      Envelope moving = std::move(merged[i]);
+      size_t j = i;
+      for (; j > 0 && before(moving, merged[j - 1]); --j) {
+        merged[j] = std::move(merged[j - 1]);
+      }
+      merged[j] = std::move(moving);
+    }
     cross_events_ += merged.size();
     for (Envelope& envelope : merged) {
       schedulers_[to]->ScheduleAt(envelope.time, std::move(envelope.action),

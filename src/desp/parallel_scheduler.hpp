@@ -155,6 +155,8 @@ class ParallelScheduler {
   /// Dense n*n matrices indexed [from * n + to].
   std::vector<SimTime> edge_delay_;    ///< +inf = unregistered
   std::vector<std::vector<Envelope>> mail_;
+  /// DeliverMail's per-target merge buffer, reused across windows.
+  std::vector<Envelope> merged_;
   SimTime explicit_window_ = 0.0;
   uint64_t windows_ = 0;
   uint64_t cross_events_ = 0;

@@ -1,6 +1,5 @@
 #include "desp/resource.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace voodb::desp {
@@ -29,46 +28,45 @@ Resource::Resource(Scheduler* scheduler, std::string name, uint64_t capacity,
 }
 
 void Resource::Acquire(Grant on_grant, double priority) {
-  // AcquireAction validates; SmallFunction preserves emptiness of a
-  // wrapped std::function, so no separate check is needed here.
-  AcquireAction(std::move(on_grant), priority);
-}
-
-void Resource::AcquireAction(Scheduler::Action on_grant, double priority) {
   VOODB_CHECK_MSG(static_cast<bool>(on_grant),
                   "Acquire needs a grant continuation");
-  Waiter w{std::move(on_grant), priority, Now(), next_seq_++,
-           scheduler().current_trace()};
-  if (busy_ < capacity_) {
-    GrantTo(std::move(w));
-    return;
-  }
-  queue_.push_back(std::move(w));
-  queue_stat_.Update(Now(), static_cast<double>(queue_.size()));
+  Enqueue(Waiter{std::move(on_grant), -1.0, priority, Now(), next_seq_++,
+                 scheduler().current_trace()});
 }
 
 void Resource::Release() {
   VOODB_CHECK_MSG(busy_ > 0, "Release on idle resource '" << name() << "'");
   --busy_;
   busy_stat_.Update(Now(), static_cast<double>(busy_));
-  if (!queue_.empty()) PopAndGrant();
+  if (queued_ > 0) PopAndGrant();
 }
 
 void Resource::AcquireFor(SimTime service_time, Grant on_done,
                           double priority) {
   VOODB_CHECK_MSG(service_time >= 0.0, "service time must be non-negative");
-  AcquireAction(
-      [this, service_time, on_done = std::move(on_done)]() mutable {
-        Serve(service_time, std::move(on_done));
-      },
-      priority);
+  Enqueue(Waiter{std::move(on_done), service_time, priority, Now(),
+                 next_seq_++, scheduler().current_trace()});
 }
 
-void Resource::Serve(SimTime service_time, Grant on_done) {
-  CallIn(service_time, &Resource::FinishService, std::move(on_done));
+void Resource::Enqueue(Waiter waiter) {
+  if (busy_ < capacity_) {
+    GrantTo(std::move(waiter));
+    return;
+  }
+  if (queued_ == ring_.size()) {
+    std::vector<Waiter> bigger(ring_.empty() ? 8 : 2 * ring_.size());
+    for (size_t i = 0; i < queued_; ++i) bigger[i] = std::move(QueuedAt(i));
+    ring_ = std::move(bigger);
+    head_ = 0;
+  }
+  ++queued_;
+  QueuedAt(queued_ - 1) = std::move(waiter);
+  queue_stat_.Update(Now(), static_cast<double>(queued_));
 }
 
-void Resource::FinishService(Grant on_done) {
+void Resource::FinishService(ServiceHandle h) {
+  Grant on_done = std::move(in_service_.At(h).on_done);
+  in_service_.Free(h);
   Release();
   if (on_done) on_done();
 }
@@ -91,30 +89,47 @@ void Resource::GrantTo(Waiter waiter) {
   // scope it would inherit the releasing event's context (a grant fired
   // from another transaction's Release would be misattributed).
   TraceScope trace(&scheduler(), waiter.trace);
-  After(0.0, std::move(waiter.on_grant));
+  if (waiter.service < 0.0) {
+    After(0.0, std::move(waiter.action));
+    return;
+  }
+  const ServiceHandle h = in_service_.Alloc();
+  in_service_.At(h).on_done = std::move(waiter.action);
+  After(0.0, [this, service = waiter.service, h] {
+    CallIn(service, &Resource::FinishService, h);
+  });
 }
 
 void Resource::PopAndGrant() {
-  auto it = queue_.begin();
+  size_t pick = 0;
   switch (discipline_) {
     case QueueDiscipline::kFifo:
       break;
     case QueueDiscipline::kLifo:
-      it = std::prev(queue_.end());
+      pick = queued_ - 1;
       break;
     case QueueDiscipline::kPriority:
-      it = std::max_element(queue_.begin(), queue_.end(),
-                            [](const Waiter& a, const Waiter& b) {
-                              if (a.priority != b.priority) {
-                                return a.priority < b.priority;
-                              }
-                              return a.seq > b.seq;  // FIFO among equals
-                            });
+      // Highest priority first, FIFO (lowest seq) among equals.
+      for (size_t i = 1; i < queued_; ++i) {
+        const Waiter& best = QueuedAt(pick);
+        const Waiter& w = QueuedAt(i);
+        if (w.priority > best.priority ||
+            (w.priority == best.priority && w.seq < best.seq)) {
+          pick = i;
+        }
+      }
       break;
   }
-  Waiter w = std::move(*it);
-  queue_.erase(it);
-  queue_stat_.Update(Now(), static_cast<double>(queue_.size()));
+  Waiter w = std::move(QueuedAt(pick));
+  if (pick == 0) {
+    head_ = (head_ + 1) & (ring_.size() - 1);
+  } else {
+    for (size_t i = pick; i + 1 < queued_; ++i) {
+      QueuedAt(i) = std::move(QueuedAt(i + 1));
+    }
+  }
+  --queued_;
+  queue_stat_.Update(Now(), static_cast<double>(queued_));
   GrantTo(std::move(w));
 }
 

@@ -10,12 +10,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
+#include <vector>
 
 #include "desp/actor.hpp"
 #include "desp/scheduler.hpp"
+#include "desp/slot_pool.hpp"
 #include "desp/stats.hpp"
 
 namespace voodb::desp {
@@ -33,7 +33,9 @@ const char* ToString(QueueDiscipline d);
 /// A capacity-limited passive resource with a waiting queue.
 class Resource : public Actor {
  public:
-  using Grant = std::function<void()>;
+  /// The kernel's continuation type: queueing a request never allocates
+  /// once the wait queue has reached its peak length.
+  using Grant = Scheduler::Action;
 
   /// \param scheduler the owning scheduler (must outlive the resource)
   /// \param name      used in statistics reports
@@ -46,11 +48,6 @@ class Resource : public Actor {
   /// discipline.  `priority` is only meaningful for kPriority.
   void Acquire(Grant on_grant, double priority = 0.0);
 
-  /// As Acquire, but takes the scheduler's small-buffer callable
-  /// directly — the allocation-free variant for actor hot paths (a Grant
-  /// with more than two words of capture heap-allocates on creation).
-  void AcquireAction(Scheduler::Action on_grant, double priority = 0.0);
-
   /// Releases one unit previously granted.
   void Release();
 
@@ -61,7 +58,7 @@ class Resource : public Actor {
   const std::string& name() const { return actor_name(); }
   uint64_t capacity() const { return capacity_; }
   uint64_t busy() const { return busy_; }
-  size_t QueueLength() const { return queue_.size(); }
+  size_t QueueLength() const { return queued_; }
 
   /// Fraction of capacity held, averaged over time (0..1).
   double Utilization() const;
@@ -73,32 +70,46 @@ class Resource : public Actor {
   uint64_t Grants() const { return grants_; }
 
  private:
-  /// Queued continuations use the scheduler's small-buffer callable so
-  /// the grant path stays allocation-free; the public Grant type remains
-  /// std::function for composability in the actors.
   struct Waiter {
-    Scheduler::Action on_grant;
-    double priority;
-    SimTime enqueued_at;
-    uint64_t seq;
+    /// The grant continuation, or for AcquireFor the completion.
+    Grant action;
+    /// AcquireFor's hold time; negative for a plain Acquire.
+    SimTime service = -1.0;
+    double priority = 0.0;
+    SimTime enqueued_at = 0.0;
+    uint64_t seq = 0;
     /// Ambient trace context of the requester, restored around the grant
     /// so work done under the resource is attributed to the transaction
     /// that asked for it, not to whichever event happened to release it.
-    uint32_t trace;
+    uint32_t trace = 0;
   };
+  /// An AcquireFor request holding a unit: its completion waits here for
+  /// the service time.  At most `capacity` are live.
+  struct InService {
+    Grant on_done;
+    void Recycle() { on_done = nullptr; }
+  };
+  using ServiceHandle = SlotPool<InService>::Handle;
 
+  void Enqueue(Waiter waiter);
   void GrantTo(Waiter waiter);
   void PopAndGrant();
-  /// Holds the unit for the service time, releases, runs `on_done`.
-  void Serve(SimTime service_time, Grant on_done);
-  void FinishService(Grant on_done);
+  /// The `i`-th queued waiter, oldest first.
+  Waiter& QueuedAt(size_t i) { return ring_[(head_ + i) & (ring_.size() - 1)]; }
+  /// Holds the unit for the service time, releases, runs the completion.
+  void FinishService(ServiceHandle h);
 
   uint64_t capacity_;
   QueueDiscipline discipline_;
   uint64_t busy_ = 0;
   uint64_t grants_ = 0;
   uint64_t next_seq_ = 0;
-  std::deque<Waiter> queue_;
+  /// The wait queue: a ring of power-of-two capacity that only grows,
+  /// so steady-state queueing moves waiters in place.
+  std::vector<Waiter> ring_;
+  size_t head_ = 0;
+  size_t queued_ = 0;
+  SlotPool<InService> in_service_;
   TimeWeighted busy_stat_;
   TimeWeighted queue_stat_;
   Tally wait_times_;

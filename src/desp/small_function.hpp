@@ -3,12 +3,17 @@
 ///
 /// The scheduler fires millions of events per experiment; wrapping every
 /// event action in a `std::function` (16-byte inline buffer in libstdc++)
-/// forced a heap allocation for any capture beyond two words.  Actor
-/// continuations routinely capture `this`, a `shared_ptr` state block and
-/// a nested continuation, so nearly every event allocated.  SmallFunction
-/// stores callables up to `kInlineBytes` in place — sized so the actors'
-/// hot-path lambdas all fit — and falls back to the heap only for outsized
-/// captures.
+/// forced a heap allocation for any capture beyond two words.
+/// SmallFunction stores callables up to `kInlineBytes` in place and falls
+/// back to the heap only for outsized captures.  It is the one
+/// continuation type of the simulation path: events, resource grants,
+/// concurrency-control decisions and the actors' `done` parameters.
+///
+/// A SmallFunction cannot hold another one inline (it is larger than its
+/// own buffer), so no continuation captures a continuation: state that
+/// outlives a step — a caller's `done` included — waits in a slot pool
+/// owned by the actor (desp/slot_pool.hpp), and each closure captures
+/// `{this, handle}` plus a few words.
 #pragma once
 
 #include <cstddef>
@@ -21,10 +26,12 @@ namespace voodb::desp {
 /// Move-only `void()` callable with a large inline buffer.
 class SmallFunction {
  public:
-  /// Inline capture budget: a typed Actor::CallIn binding — object
-  /// pointer + member-function pointer + a bound tuple of (shared_ptr
-  /// state, index, std::function continuation) = 8 + 16 + (16 + 8 + 32).
-  static constexpr size_t kInlineBytes = 88;
+  /// Inline capture budget, set by the largest closure on the simulation
+  /// path: a users driver's think-time submit — driver pointer, user id
+  /// and the `ocb::Transaction` it hands over = 8 + 8 + 40.  An
+  /// Actor::CallIn binding (object pointer + member-function pointer + a
+  /// slot handle) takes 32, a protocol grant 40.
+  static constexpr size_t kInlineBytes = 56;
 
   SmallFunction() = default;
   SmallFunction(std::nullptr_t) {}  // NOLINT(runtime/explicit)

@@ -96,15 +96,16 @@ void TexasEmulator::AccessObject(ocb::Oid oid, bool write) {
   for (uint32_t i = 0; i < span.count; ++i) {
     const storage::PageId page = span.first + i;
     if (recorder_ != nullptr) recorder_->OnPage(page, write);
-    const storage::AccessOutcome outcome = vm_->Touch(page, write);
-    CountIos(outcome.ios);
-    if (!outcome.hit && config_.reserve_references) {
+    scratch_ios_.clear();
+    const bool hit = vm_->TouchInto(page, write, scratch_ios_);
+    if (!hit && config_.reserve_references) {
       // The fault swizzled every pointer in the page: frames are
       // reserved for all pages referenced from it.
       for (storage::PageId ref : adjacency_.RowOf(page)) {
-        CountIos(vm_->Reserve(ref));
+        vm_->ReserveInto(ref, scratch_ios_);
       }
     }
+    CountIos(scratch_ios_);
   }
 }
 

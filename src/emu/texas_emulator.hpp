@@ -117,6 +117,8 @@ class TexasEmulator {
   std::unique_ptr<storage::VirtualMemoryModel> vm_;
   std::unique_ptr<cluster::ClusteringPolicy> policy_;
   trace::Recorder* recorder_ = nullptr;
+  /// Reused I/O scratch buffer (the access path never allocates).
+  std::vector<storage::PageIo> scratch_ios_;
   uint64_t reads_ = 0;
   uint64_t writes_ = 0;
   uint64_t accesses_ = 0;

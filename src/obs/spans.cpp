@@ -194,8 +194,14 @@ SpanTracer::SpanTracer(desp::Scheduler* scheduler, Options options)
 void SpanTracer::Reserve(size_t traces) {
   traces_.reserve(traces);
   // A transaction's chain keeps only a handful of spans open at once, but
-  // closed leaves accumulate until retirement: size generously.
-  spans_.reserve(traces * 16);
+  // closed leaves accumulate until retirement: size generously.  Only the
+  // chunk directory is reserved; chunks themselves are allocated (and
+  // touched) on demand, so set-up pays for no spans.
+  span_chunks_.reserve(((traces * 16) >> kChunkShift) + 1);
+}
+
+void SpanTracer::AddSpanChunk() {
+  span_chunks_.push_back(std::make_unique<Span[]>(size_t{1} << kChunkShift));
 }
 
 bool SpanTracer::Sampled(uint64_t seed, uint64_t txn_id, double rate) {
@@ -235,7 +241,7 @@ uint32_t SpanTracer::BeginTrace(uint64_t txn_id, double admitted_at) {
   ++traces_started_;
   // Open the root span; attempts are opened by the Transaction Manager.
   const uint32_t root = AllocSpan();
-  Span& span = spans_[root];
+  Span& span = SpanAt(root);
   span = Span{};
   span.begin = admitted_at;
   span.kind = SpanKind::kTxn;
@@ -250,13 +256,13 @@ void SpanTracer::SetPendingParent(uint64_t parent_global_id) {
 }
 
 void SpanTracer::FreeTree(uint32_t span) {
-  uint32_t child = spans_[span].first_child;
+  uint32_t child = SpanAt(span).first_child;
   while (child != kNone) {
-    const uint32_t next = spans_[child].next_sibling;
+    const uint32_t next = SpanAt(child).next_sibling;
     FreeTree(child);
     child = next;
   }
-  spans_[span].first_child = span_free_head_;  // reuse as next_free link
+  SpanAt(span).first_child = span_free_head_;  // reuse as next_free link
   span_free_head_ = span;
 }
 
@@ -264,9 +270,9 @@ void SpanTracer::NoteAbort(uint32_t trace, AbortCause cause) {
   Trace* t = Resolve(trace);
   if (t == nullptr) return;
   // Annotate the innermost open attempt (the open chain runs root-ward).
-  for (uint32_t s = t->open; s != kNone; s = spans_[s].parent) {
-    if (spans_[s].kind == SpanKind::kAttempt) {
-      spans_[s].cause = cause;
+  for (uint32_t s = t->open; s != kNone; s = SpanAt(s).parent) {
+    if (SpanAt(s).kind == SpanKind::kAttempt) {
+      SpanAt(s).cause = cause;
       return;
     }
   }
@@ -285,11 +291,11 @@ uint64_t SpanTracer::GlobalId(uint32_t trace) const {
 }
 
 void SpanTracer::WalkExclusive(uint32_t span, CriticalPath* path) const {
-  const Span& s = spans_[span];
+  const Span& s = SpanAt(span);
   double child_sum = 0.0;
   for (uint32_t child = s.first_child; child != kNone;
-       child = spans_[child].next_sibling) {
-    child_sum += spans_[child].end - spans_[child].begin;
+       child = SpanAt(child).next_sibling) {
+    child_sum += SpanAt(child).end - SpanAt(child).begin;
     WalkExclusive(child, path);
   }
   const double exclusive = std::max(0.0, (s.end - s.begin) - child_sum);
@@ -299,10 +305,10 @@ void SpanTracer::WalkExclusive(uint32_t span, CriticalPath* path) const {
 void SpanTracer::FoldTrace(const Trace& t, double response_ms,
                            CriticalPath* path) const {
   (void)response_ms;
-  const Span& root = spans_[t.root];
+  const Span& root = SpanAt(t.root);
   for (uint32_t child = root.first_child; child != kNone;
-       child = spans_[child].next_sibling) {
-    const Span& s = spans_[child];
+       child = SpanAt(child).next_sibling) {
+    const Span& s = SpanAt(child);
     const double duration = s.end - s.begin;
     if (s.kind == SpanKind::kAttempt && s.cause != AbortCause::kNone) {
       // A whole aborted attempt is wasted work: everything it did —
@@ -338,7 +344,7 @@ void SpanTracer::MaybeRetain(const Trace& t, double response_ms,
 
 void SpanTracer::Flatten(uint32_t span, uint8_t depth,
                          std::vector<ExemplarSpan>* out) const {
-  const Span& s = spans_[span];
+  const Span& s = SpanAt(span);
   ExemplarSpan flat;
   flat.begin_ms = s.begin;
   flat.end_ms = s.end;
@@ -348,7 +354,7 @@ void SpanTracer::Flatten(uint32_t span, uint8_t depth,
   flat.depth = depth;
   out->push_back(flat);
   for (uint32_t child = s.first_child; child != kNone;
-       child = spans_[child].next_sibling) {
+       child = SpanAt(child).next_sibling) {
     Flatten(child, static_cast<uint8_t>(depth + 1), out);
   }
 }
@@ -367,8 +373,8 @@ void SpanTracer::FinishCommitted(uint32_t trace, double response_ms,
   // Close anything still open (normally just the root; the committed
   // attempt is closed by the Transaction Manager before retirement).
   while (t->open != kNone) {
-    spans_[t->open].end = end;
-    t->open = spans_[t->open].parent;
+    SpanAt(t->open).end = end;
+    t->open = SpanAt(t->open).parent;
   }
   CriticalPath path;
   FoldTrace(*t, response_ms, &path);

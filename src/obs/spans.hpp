@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -204,7 +205,7 @@ class SpanTracer {
     if (t == nullptr) return;
     VOODB_CHECK_MSG(t->open != kNone && t->open != t->root,
                     "span close without a matching open");
-    Span& span = spans_[t->open];
+    Span& span = SpanAt(t->open);
     span.end = at;
     t->open = span.parent;
   }
@@ -219,9 +220,9 @@ class SpanTracer {
     Trace* t = Resolve(trace);
     if (t == nullptr) return;
     if (t->open != kNone) {
-      const uint32_t last = spans_[t->open].last_child;
+      const uint32_t last = SpanAt(t->open).last_child;
       if (last != kNone) {
-        Span& prev = spans_[last];
+        Span& prev = SpanAt(last);
         if (prev.kind == kind && prev.label == label && prev.end == begin &&
             prev.first_child == kNone) {
           prev.end = end;
@@ -230,7 +231,7 @@ class SpanTracer {
       }
     }
     const uint32_t index = AppendChild(*t, kind, label, begin);
-    spans_[index].end = end;
+    SpanAt(index).end = end;
   }
 
   /// Annotates the innermost open kAttempt span with an abort cause.
@@ -306,32 +307,45 @@ class SpanTracer {
     double admitted_at = 0.0;
   };
 
+  /// Spans live in fixed-size chunks behind the 32-bit index: growing
+  /// appends a chunk and never copies the spans already allocated.
+  static constexpr uint32_t kChunkShift = 10;  // 1024 spans (48 KB) per chunk
+  static constexpr uint32_t kChunkMask = (1u << kChunkShift) - 1;
+
+  Span& SpanAt(uint32_t span) {
+    return span_chunks_[span >> kChunkShift][span & kChunkMask];
+  }
+  const Span& SpanAt(uint32_t span) const {
+    return span_chunks_[span >> kChunkShift][span & kChunkMask];
+  }
+
   uint32_t AllocSpan() {
     if (span_free_head_ != kNone) {
       const uint32_t span = span_free_head_;
-      span_free_head_ = spans_[span].first_child;  // free-list link (FreeTree)
+      span_free_head_ = SpanAt(span).first_child;  // free-list link (FreeTree)
       return span;
     }
-    spans_.emplace_back();
-    return static_cast<uint32_t>(spans_.size() - 1);
+    if (spans_used_ == span_chunks_.size() << kChunkShift) AddSpanChunk();
+    return spans_used_++;
   }
+  void AddSpanChunk();
 
   void FreeTree(uint32_t span);
 
   uint32_t AppendChild(Trace& t, SpanKind kind, uint64_t label, double begin) {
     const uint32_t index = AllocSpan();
-    Span& span = spans_[index];
+    Span& span = SpanAt(index);
     span = Span{};
     span.begin = begin;
     span.kind = kind;
     span.label = label;
     span.parent = t.open;
     if (t.open != kNone) {
-      Span& parent = spans_[t.open];
+      Span& parent = SpanAt(t.open);
       if (parent.last_child == kNone) {
         parent.first_child = index;
       } else {
-        spans_[parent.last_child].next_sibling = index;
+        SpanAt(parent.last_child).next_sibling = index;
       }
       parent.last_child = index;
     }
@@ -357,7 +371,8 @@ class SpanTracer {
 
   desp::Scheduler* scheduler_;
   Options options_;
-  std::vector<Span> spans_;
+  std::vector<std::unique_ptr<Span[]>> span_chunks_;
+  uint32_t spans_used_ = 0;  ///< spans ever handed out (the slab's high mark)
   uint32_t span_free_head_ = kNone;
   std::vector<Trace> traces_;
   uint32_t trace_free_head_ = kNone;

@@ -1,6 +1,7 @@
 #include "storage/buffer_manager.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
 #include "trace/recorder.hpp"
@@ -19,12 +20,6 @@ BufferManager::BufferManager(uint64_t capacity_pages, ReplacementPolicy policy,
 
 void BufferManager::SetPrefetcher(std::unique_ptr<Prefetcher> prefetcher) {
   prefetcher_ = std::move(prefetcher);
-}
-
-AccessOutcome BufferManager::Access(PageId page, bool write) {
-  AccessOutcome outcome;
-  outcome.hit = AccessInto(page, write, outcome.ios);
-  return outcome;
 }
 
 bool BufferManager::AccessInto(PageId page, bool write,
@@ -53,8 +48,8 @@ bool BufferManager::AccessInto(PageId page, bool write,
   return false;
 }
 
-std::vector<PageIo> BufferManager::FlushAll() {
-  std::vector<PageIo> ios;
+void BufferManager::FlushInto(std::vector<PageIo>& ios) {
+  const size_t first = ios.size();
   for (Frame& f : frames_) {
     if (f.page != kNullPage && f.dirty) {
       ios.push_back(PageIo{PageIo::Kind::kWrite, f.page});
@@ -64,9 +59,8 @@ std::vector<PageIo> BufferManager::FlushAll() {
   }
   // Ascending page order: deterministic, and sequential on the disk
   // model (contiguous writes skip the seek).
-  std::sort(ios.begin(), ios.end(),
+  std::sort(ios.begin() + static_cast<std::ptrdiff_t>(first), ios.end(),
             [](const PageIo& a, const PageIo& b) { return a.page < b.page; });
-  return ios;
 }
 
 void BufferManager::DropAll() {

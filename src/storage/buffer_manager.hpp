@@ -5,13 +5,13 @@
 /// memory buffer; on a miss it asks the I/O Subsystem for the page and, if
 /// the buffer is full, evicts a victim chosen by the configured
 /// replacement policy (writing it back when dirty).  This class is the
-/// pure cache logic — timing is applied by whoever executes the returned
-/// `PageIo` operations (the DES I/O subsystem actor, or the emulators'
-/// simple counters).
+/// pure cache logic — timing is applied by whoever executes the `PageIo`
+/// operations it appends to the caller's vector (the DES I/O subsystem
+/// actor, or the emulators' simple counters).
 ///
 /// The cache is data-oriented: resident pages live in one flat `Frame`
 /// array that holds the page id, the dirty bit and the replacement-policy
-/// state intrusively, found through an open-addressing `FrameTable`
+/// state intrusively, found through an open-addressing `util::HashIndex`
 /// (PageId -> frame index).  A hit is one hash probe plus one cache-line
 /// update; evictions recycle frames through a free list and never
 /// allocate.
@@ -63,28 +63,24 @@ class BufferManager {
   void SetPrefetcher(std::unique_ptr<Prefetcher> prefetcher);
 
   /// Installs an access-trace recorder (not owned; nullptr detaches).
-  /// Every logical access through Access/AccessInto is reported as one
+  /// Every logical access through AccessInto is reported as one
   /// page record; the recorder's append path does not allocate, so the
   /// hot path stays allocation-free while recording.
   void SetRecorder(trace::Recorder* recorder) { recorder_ = recorder; }
 
-  /// Performs one logical page access.  The outcome lists the physical
-  /// operations implied: dirty write-backs, the read of `page` when it
-  /// missed, and prefetch reads.
-  AccessOutcome Access(PageId page, bool write);
-
-  /// Allocation-free variant of Access: appends the implied physical
-  /// operations to `ios` (not cleared) and returns whether the access
-  /// hit.  With a reused caller buffer the whole access path — hit,
-  /// miss, eviction, write-back — performs no heap allocation.
+  /// Performs one logical page access: appends the implied physical
+  /// operations — dirty write-backs, the read of `page` when it missed,
+  /// and prefetch reads — to `ios` (not cleared) and returns whether the
+  /// access hit.  With a reused caller buffer the whole access path —
+  /// hit, miss, eviction, write-back — performs no heap allocation.
   bool AccessInto(PageId page, bool write, std::vector<PageIo>& ios);
 
   /// True when `page` is resident.
   bool Contains(PageId page) const { return index_.Find(page) != kNoFrame; }
 
-  /// Writes back all dirty pages (returned as write IOs, in ascending
-  /// page order) and keeps the pages resident but clean.
-  std::vector<PageIo> FlushAll();
+  /// Writes back all dirty pages (appended to `ios` as write IOs, in
+  /// ascending page order) and keeps the pages resident but clean.
+  void FlushInto(std::vector<PageIo>& ios);
 
   /// Discards all resident pages without write-back (used when a
   /// reorganization rebuilds the page space from scratch).  Replacement
@@ -115,7 +111,7 @@ class BufferManager {
   /// Free frame indices, reused LIFO (so frame numbers stay dense and
   /// the CLOCK sweep order matches the classic frame-table formulation).
   std::vector<uint32_t> free_frames_;
-  FrameTable index_;
+  util::HashIndex index_;
   BufferStats stats_;
 };
 

@@ -28,13 +28,4 @@ struct PageIo {
   PageId page = kNullPage;
 };
 
-/// Outcome of one logical page access against a buffering layer.
-struct AccessOutcome {
-  /// True when the page was already resident (no read needed).
-  bool hit = false;
-  /// Physical operations to perform, in order (evicted-dirty write-backs
-  /// first, then the read of the requested page, then prefetch reads).
-  std::vector<PageIo> ios;
-};
-
 }  // namespace voodb::storage

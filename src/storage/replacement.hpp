@@ -7,8 +7,8 @@
 /// default.  The buffer is data-oriented: all per-page state — the page
 /// id, the dirty bit and the replacement-policy bookkeeping — lives in
 /// one `Frame` record of a single flat array, and residency is resolved
-/// through an open-addressing `FrameTable` that maps PageId to a frame
-/// index.  A hit therefore costs one hash probe plus one cache-line
+/// through the open-addressing `util::HashIndex` that maps PageId to a
+/// frame index.  A hit therefore costs one hash probe plus one cache-line
 /// update (LRU relinks its intrusive chain, CLOCK bumps a weight, LFU
 /// bumps a counter) and evictions recycle frames through a free list
 /// without allocating.
@@ -27,6 +27,7 @@
 
 #include "desp/random.hpp"
 #include "storage/page.hpp"
+#include "util/hash_index.hpp"
 
 namespace voodb::storage {
 
@@ -44,7 +45,7 @@ enum class ReplacementPolicy {
 const char* ToString(ReplacementPolicy p);
 
 /// Sentinel frame index ("no frame").
-inline constexpr uint32_t kNoFrame = static_cast<uint32_t>(-1);
+inline constexpr uint32_t kNoFrame = util::HashIndex::kNone;
 
 /// One buffer frame: the unit of the flat frame array.  Exactly the
 /// state the hot path touches — identity, dirty bit and the intrusive
@@ -63,54 +64,6 @@ struct Frame {
   bool dirty = false;        ///< page modified since load
 };
 
-/// Open-addressing hash index PageId -> frame index (linear probing,
-/// power-of-two capacity, backward-shift deletion).  The buffer's only
-/// per-access lookup structure; probes touch one small flat array.
-class FrameTable {
- public:
-  explicit FrameTable(uint64_t expected_entries = 16);
-
-  /// Frame holding `page`, or kNoFrame.
-  uint32_t Find(PageId page) const {
-    uint64_t i = Hash(page) & mask_;
-    while (true) {
-      const Slot& slot = slots_[i];
-      if (slot.page == page) return slot.frame;
-      if (slot.frame == kNoFrame) return kNoFrame;
-      i = (i + 1) & mask_;
-    }
-  }
-
-  /// Inserts `page -> frame`; `page` must not be present.
-  void Insert(PageId page, uint32_t frame);
-  /// Removes `page`; must be present.
-  void Erase(PageId page);
-  void Clear();
-
-  uint64_t size() const { return size_; }
-
- private:
-  struct Slot {
-    PageId page = kNullPage;
-    uint32_t frame = kNoFrame;  ///< kNoFrame = empty slot
-  };
-
-  static uint64_t Hash(PageId page) {
-    // 64-bit finalizer (splitmix64): cheap and well-distributed for the
-    // dense page ids placements produce.
-    uint64_t x = page + 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-  }
-
-  void Rehash(uint64_t capacity);
-
-  std::vector<Slot> slots_;
-  uint64_t mask_ = 0;
-  uint64_t size_ = 0;
-};
-
 /// The replacement policies, operating intrusively on the shared frame
 /// array.  The owning cache guarantees: OnAdmit for frames just bound to
 /// a page, OnAccess for resident frames only, PickVictim only when at
@@ -125,7 +78,8 @@ class ReplacementEngine {
   void OnAdmit(std::vector<Frame>& frames, uint32_t frame);
   void OnAccess(std::vector<Frame>& frames, uint32_t frame);
   /// Nominates a victim frame (may rotate CLOCK weights).
-  uint32_t PickVictim(std::vector<Frame>& frames, const FrameTable& table);
+  uint32_t PickVictim(std::vector<Frame>& frames,
+                      const util::HashIndex& table);
   void OnEvict(std::vector<Frame>& frames, uint32_t frame);
 
   /// Drops all policy history (buffer drop; frame array restarts empty).

@@ -22,15 +22,17 @@
 ///
 /// The model is a frame pool with LRU ordering where each page is either
 /// Loaded (contents present) or Reserved (frame held, contents absent).
+/// Like the BufferManager it is data-oriented: frames live in one flat
+/// array linked into an intrusive LRU chain and are found through a
+/// `util::HashIndex`, and every access appends its physical I/Os to a
+/// caller-owned vector, so a warm model never allocates.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/page.hpp"
+#include "util/hash_index.hpp"
 
 namespace voodb::storage {
 
@@ -68,15 +70,16 @@ class VirtualMemoryModel {
  public:
   explicit VirtualMemoryModel(VmParameters params);
 
-  /// Touches `page` (reading or writing an object on it).  Returns the
-  /// physical I/O operations implied (swap writes then the read).
-  AccessOutcome Touch(PageId page, bool write);
+  /// Touches `page` (reading or writing an object on it): appends the
+  /// physical I/O operations implied (swap writes then the read) to `ios`
+  /// (not cleared) and returns whether the page was already loaded.
+  bool TouchInto(PageId page, bool write, std::vector<PageIo>& ios);
 
   /// Reserves a frame for `page` without loading it (reserve-on-swizzle).
-  /// No read is performed, but making room can evict dirty pages: the
-  /// returned IOs are those swap writes.  No-op when `page` already has a
+  /// No read is performed, but making room can evict dirty pages: their
+  /// swap writes are appended to `ios`.  No-op when `page` already has a
   /// frame.
-  std::vector<PageIo> Reserve(PageId page);
+  void ReserveInto(PageId page, std::vector<PageIo>& ios);
 
   /// Discards all frames without write-back (process restart).
   void DropAll();
@@ -85,35 +88,43 @@ class VirtualMemoryModel {
   std::vector<PageIo> Resize(uint64_t memory_pages);
 
   bool IsLoaded(PageId page) const;
-  uint64_t resident_frames() const { return frames_.size(); }
+  uint64_t resident_frames() const { return index_.size(); }
   /// Number of dirty loaded frames (O(frames)).
   uint64_t DirtyFrames() const {
     uint64_t n = 0;
-    for (const Frame& f : frames_) n += f.dirty ? 1 : 0;
+    for (const Frame& f : frames_) n += f.page != kNullPage && f.dirty;
     return n;
   }
   const VmStats& stats() const { return stats_; }
   const VmParameters& params() const { return params_; }
 
  private:
-  enum class State { kLoaded, kReserved };
+  static constexpr uint32_t kNone = util::HashIndex::kNone;
+
+  enum class State : uint8_t { kLoaded, kReserved };
   struct Frame {
-    PageId page;
-    State state;
-    bool dirty;
+    PageId page = kNullPage;  ///< kNullPage = free frame
+    uint32_t prev = kNone;    ///< LRU chain toward the MRU end
+    uint32_t next = kNone;    ///< LRU chain toward the LRU end
+    State state = State::kLoaded;
+    bool dirty = false;
   };
-  using FrameList = std::list<Frame>;
 
   /// Evicts the LRU frame, appending a swap write when dirty.
   void EvictOne(std::vector<PageIo>& ios);
-  /// Allocates a frame for `page` (evicting as needed) in `state`.
-  void AllocateFrame(PageId page, State state, bool dirty,
+  /// Binds a frame to `page` (evicting as needed), indexed but unlinked.
+  uint32_t TakeFrame(PageId page, State state, bool dirty,
                      std::vector<PageIo>& ios);
-  void MoveToFront(FrameList::iterator it);
+  void LinkFront(uint32_t frame);
+  void LinkBack(uint32_t frame);
+  void Unlink(uint32_t frame);
 
   VmParameters params_;
-  FrameList frames_;  // MRU at front
-  std::unordered_map<PageId, FrameList::iterator> where_;
+  std::vector<Frame> frames_;
+  std::vector<uint32_t> free_frames_;
+  util::HashIndex index_;  ///< PageId -> frame
+  uint32_t mru_ = kNone;
+  uint32_t lru_ = kNone;
   VmStats stats_;
 };
 

@@ -60,7 +60,7 @@ inline constexpr uint64_t PackTxnBegin(uint64_t kind, uint32_t user) {
 enum : uint32_t {
   kFlagFinished = 1u << 0,       ///< Finish() ran; counters are valid
   kFlagVirtualMemory = 1u << 1,  ///< recorded under the VM model (Texas)
-  /// Recorded with flush_on_commit: commit-time FlushAll write-backs
+  /// Recorded with flush_on_commit: commit-time FlushInto write-backs
   /// are in the counters but not in the page stream.
   kFlagCommitFlush = 1u << 2,
   /// Recorded with the crash hazard armed: crashes drop the buffer

@@ -38,27 +38,43 @@ BufferingManagerActor::BufferingManagerActor(desp::Scheduler* scheduler,
 }
 
 void BufferingManagerActor::AccessObject(ocb::Oid oid, bool write,
-                                         std::function<void()> done) {
+                                         desp::Scheduler::Action done) {
   AccessSpan(object_manager_->Resolve(oid, write), write, std::move(done));
 }
 
 void BufferingManagerActor::AccessSpan(storage::PageSpan span, bool write,
-                                       std::function<void()> done) {
+                                       desp::Scheduler::Action done) {
   VOODB_CHECK_MSG(span.count >= 1, "empty page span");
-  AccessSpanStep(span, 0, write, std::move(done));
+  const WalkHandle h = walks_.Alloc();
+  Walk& walk = walks_.At(h);
+  walk.span = span;
+  walk.index = 0;
+  walk.write = write;
+  walk.done = std::move(done);
+  ContinueWalk(h);
 }
 
-void BufferingManagerActor::AccessSpanStep(storage::PageSpan span,
-                                           uint32_t index, bool write,
-                                           std::function<void()> done) {
-  if (index >= span.count) {
-    done();
-    return;
+void BufferingManagerActor::AccessPage(storage::PageId page, bool write,
+                                       desp::Scheduler::Action done) {
+  AccessSpan(storage::PageSpan{page, 1}, write, std::move(done));
+}
+
+void BufferingManagerActor::ContinueWalk(WalkHandle h) {
+  while (true) {
+    Walk& walk = walks_.At(h);
+    if (walk.index >= walk.span.count) {
+      desp::Scheduler::Action done = std::move(walk.done);
+      walks_.Free(h);
+      done();
+      return;
+    }
+    const storage::PageId page = walk.span.first + walk.index;
+    ++walk.index;
+    if (!TouchPage(page, walk.write)) {
+      io_->Execute(scratch_ios_, [this, h]() { ContinueWalk(h); });
+      return;
+    }
   }
-  AccessPage(span.first + index, write,
-             [this, span, index, write, done = std::move(done)]() mutable {
-               AccessSpanStep(span, index + 1, write, std::move(done));
-             });
 }
 
 void BufferingManagerActor::SetRecorder(trace::Recorder* recorder) {
@@ -71,41 +87,40 @@ trace::TraceCounters BufferingManagerActor::TraceCountersNow() const {
                         : trace::CountersFrom(buffer_->stats());
 }
 
-void BufferingManagerActor::AccessPage(storage::PageId page, bool write,
-                                       std::function<void()> done) {
+bool BufferingManagerActor::TouchPage(storage::PageId page, bool write) {
   ++requests_;
   // The database buffer records inside AccessInto; the VM model has no
   // recorder hook of its own, so the actor reports its page stream.
   if (vm_ != nullptr && recorder_ != nullptr) {
     recorder_->OnPage(page, write);
   }
-  storage::AccessOutcome outcome = vm_ != nullptr
-                                       ? vm_->Touch(page, write)
-                                       : buffer_->Access(page, write);
-  if (outcome.hit) {
+  scratch_ios_.clear();
+  const bool hit = vm_ != nullptr
+                       ? vm_->TouchInto(page, write, scratch_ios_)
+                       : buffer_->AccessInto(page, write, scratch_ios_);
+  if (hit) {
     ++hits_;
-    done();
-    return;
+    return true;
   }
   if (vm_ != nullptr && vm_reserve_references_) {
     // Texas faulted the page in: swizzling its pointers reserves frames
     // for every page referenced from it; evictions caused by the
     // reservations produce swap writes the disk must absorb.
     for (storage::PageId ref : object_manager_->ReferencedPages(page)) {
-      for (storage::PageIo& io : vm_->Reserve(ref)) {
-        outcome.ios.push_back(io);
-      }
+      vm_->ReserveInto(ref, scratch_ios_);
     }
   }
-  io_->Execute(std::move(outcome.ios), std::move(done));
+  return false;
 }
 
-void BufferingManagerActor::Flush(std::function<void()> done) {
+void BufferingManagerActor::Flush(desp::Scheduler::Action done) {
   if (vm_ != nullptr) {
     done();
     return;
   }
-  io_->Execute(buffer_->FlushAll(), std::move(done));
+  scratch_ios_.clear();
+  buffer_->FlushInto(scratch_ios_);
+  io_->Execute(scratch_ios_, std::move(done));
 }
 
 bool BufferingManagerActor::Contains(storage::PageId page) const {

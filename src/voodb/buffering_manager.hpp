@@ -5,15 +5,21 @@
 /// page from the I/O Subsystem.  Depending on the configuration this actor
 /// fronts either a database page buffer (BufferManager, with the PGREP
 /// replacement policy) or the OS virtual-memory model (Texas).
+///
+/// A span walk that misses waits for the I/O Subsystem; its state (span,
+/// cursor, the caller's `done`) waits in a slot pool, and the page I/Os
+/// of each miss go through one reused scratch vector, so a warm walk
+/// never allocates.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <vector>
 
 #include "desp/actor.hpp"
 #include "desp/random.hpp"
 #include "desp/scheduler.hpp"
+#include "desp/slot_pool.hpp"
 #include "ocb/types.hpp"
 #include "storage/buffer_manager.hpp"
 #include "trace/recorder.hpp"
@@ -38,20 +44,20 @@ class BufferingManagerActor : public desp::Actor {
   /// Accesses object `oid` (every page of its span in order, plus the
   /// reserve-on-swizzle reservations when the Texas VM model is active),
   /// then calls `done`.
-  void AccessObject(ocb::Oid oid, bool write, std::function<void()> done);
+  void AccessObject(ocb::Oid oid, bool write, desp::Scheduler::Action done);
 
   /// Accesses every page of `span` in order, then calls `done`.
   void AccessSpan(storage::PageSpan span, bool write,
-                  std::function<void()> done);
+                  desp::Scheduler::Action done);
 
   /// Accesses a single page, then calls `done`.
   void AccessPage(storage::PageId page, bool write,
-                  std::function<void()> done);
+                  desp::Scheduler::Action done);
 
   /// Installs an access-trace recorder (not owned; nullptr detaches).
   /// Database-buffer configurations record inside
-  /// BufferManager::AccessInto; the VM model records here in AccessPage
-  /// (its Touch path is the same logical page stream).
+  /// BufferManager::AccessInto; the VM model records here, once per page
+  /// access (its TouchInto path is the same logical page stream).
   void SetRecorder(trace::Recorder* recorder);
 
   /// The recording run's buffer counters for the trace header (VM runs
@@ -70,7 +76,7 @@ class BufferingManagerActor : public desp::Actor {
   /// Writes all dirty pages back through the I/O subsystem, then calls
   /// `done` (no-op completion for the VM-backed configuration, which has
   /// no force point).
-  void Flush(std::function<void()> done);
+  void Flush(desp::Scheduler::Action done);
 
   /// True when `page`'s contents are memory-resident.
   bool Contains(storage::PageId page) const;
@@ -91,14 +97,30 @@ class BufferingManagerActor : public desp::Actor {
   void RegisterMetrics(obs::MetricRegistry& registry) const;
 
  private:
-  void AccessSpanStep(storage::PageSpan span, uint32_t index, bool write,
-                      std::function<void()> done);
+  /// One span walk in progress.
+  struct Walk {
+    storage::PageSpan span;
+    uint32_t index = 0;
+    bool write = false;
+    desp::Scheduler::Action done;
+    void Recycle() { done = nullptr; }
+  };
+  using WalkHandle = desp::SlotPool<Walk>::Handle;
+
+  /// Accesses the walk's pages in order while they hit; at the first
+  /// miss hands its I/Os to the I/O Subsystem and resumes when they
+  /// finish.  Runs `done` after the last page.
+  void ContinueWalk(WalkHandle h);
+  /// One logical page access; on a miss its I/Os are in `scratch_ios_`.
+  bool TouchPage(storage::PageId page, bool write);
 
   ObjectManagerActor* object_manager_;
   IoSubsystemActor* io_;
   std::unique_ptr<storage::BufferManager> buffer_;
   std::unique_ptr<storage::VirtualMemoryModel> vm_;
   trace::Recorder* recorder_ = nullptr;  ///< VM-model page recording
+  desp::SlotPool<Walk> walks_;
+  std::vector<storage::PageIo> scratch_ios_;
   bool dropped_while_recording_ = false;
   bool vm_reserve_references_ = false;
   uint64_t requests_ = 0;

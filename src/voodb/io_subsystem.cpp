@@ -14,50 +14,55 @@ IoSubsystemActor::IoSubsystemActor(desp::Scheduler* scheduler,
       disk_(scheduler, "disk", /*capacity=*/1),
       disk_model_(disk_params) {}
 
-void IoSubsystemActor::Execute(std::vector<storage::PageIo> ios,
-                               std::function<void()> done) {
+void IoSubsystemActor::Execute(const std::vector<storage::PageIo>& ios,
+                               desp::Scheduler::Action done) {
   VOODB_CHECK_MSG(static_cast<bool>(done), "Execute needs a continuation");
   if (ios.empty()) {
     done();
     return;
   }
-  auto shared = std::make_shared<std::vector<storage::PageIo>>(std::move(ios));
-  ExecuteNext(std::move(shared), 0, std::move(done));
+  const BatchHandle h = batches_.Alloc();
+  Batch& batch = batches_.At(h);
+  batch.ios.assign(ios.begin(), ios.end());
+  batch.index = 0;
+  batch.done = std::move(done);
+  ExecuteNext(h);
 }
 
-void IoSubsystemActor::ExecuteNext(
-    std::shared_ptr<std::vector<storage::PageIo>> ios, size_t index,
-    std::function<void()> done) {
-  if (index >= ios->size()) {
+void IoSubsystemActor::ExecuteNext(BatchHandle h) {
+  Batch& batch = batches_.At(h);
+  if (batch.index >= batch.ios.size()) {
+    desp::Scheduler::Action done = std::move(batch.done);
+    batches_.Free(h);
     done();
     return;
   }
   const double requested_at = Now();
-  disk_.AcquireAction([this, ios = std::move(ios), index,
-                       done = std::move(done), requested_at]() mutable {
+  disk_.Acquire([this, h, requested_at]() {
+    const Batch& b = batches_.At(h);
+    const storage::PageIo io = b.ios[b.index];
     // Service time is computed at grant time so the head position
     // reflects the actual execution order under contention.
-    const double service = disk_model_.IoTime((*ios)[index]) + FaultPenalty();
+    const double service = disk_model_.IoTime(io) + FaultPenalty();
     service_histogram_.Add(service);
     if (tracer_ != nullptr) {
       // The grant runs in the requester's trace context (the resource
       // restores it), so the leaf lands on the right transaction.
-      tracer_->AmbientLeaf(obs::SpanKind::kIo, (*ios)[index].page,
-                           requested_at, Now() + service);
+      tracer_->AmbientLeaf(obs::SpanKind::kIo, io.page, requested_at,
+                           Now() + service);
     }
-    CallIn(service, &IoSubsystemActor::FinishIo, std::move(ios), index,
-           std::move(done));
+    CallIn(service, &IoSubsystemActor::FinishIo, h);
   });
 }
 
-void IoSubsystemActor::FinishIo(
-    std::shared_ptr<std::vector<storage::PageIo>> ios, size_t index,
-    std::function<void()> done) {
+void IoSubsystemActor::FinishIo(BatchHandle h) {
   disk_.Release();
-  ExecuteNext(std::move(ios), index + 1, std::move(done));
+  ++batches_.At(h).index;
+  ExecuteNext(h);
 }
 
-void IoSubsystemActor::Seize(double duration_ms, std::function<void()> done) {
+void IoSubsystemActor::Seize(double duration_ms,
+                             desp::Scheduler::Action done) {
   VOODB_CHECK_MSG(duration_ms >= 0.0, "seize duration must be >= 0");
   disk_.AcquireFor(duration_ms, std::move(done));
 }

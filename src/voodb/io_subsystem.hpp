@@ -5,12 +5,12 @@
 /// controller and secondary storage" of Table 1) and the disk service-time
 /// model.  Other actors hand it batches of `PageIo` operations; it
 /// executes them sequentially on the disk resource and fires a completion
-/// continuation.
+/// continuation.  Each batch in progress (a copy of its I/Os, a cursor,
+/// the caller's `done`) waits in a slot pool whose I/O vectors keep their
+/// capacity, so a warm subsystem never allocates.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "desp/actor.hpp"
@@ -18,6 +18,7 @@
 #include "desp/random.hpp"
 #include "desp/resource.hpp"
 #include "desp/scheduler.hpp"
+#include "desp/slot_pool.hpp"
 #include "storage/disk_model.hpp"
 #include "storage/page.hpp"
 
@@ -36,12 +37,14 @@ class IoSubsystemActor : public desp::Actor {
 
   /// Executes `ios` in order (each waits for the disk resource, holds it
   /// for the modelled service time, releases) and then calls `done`.
-  /// Calls `done` immediately when `ios` is empty.
-  void Execute(std::vector<storage::PageIo> ios, std::function<void()> done);
+  /// Calls `done` immediately when `ios` is empty.  `ios` is copied, so
+  /// the caller may reuse its vector at once.
+  void Execute(const std::vector<storage::PageIo>& ios,
+               desp::Scheduler::Action done);
 
   /// Occupies the disk exclusively for `duration_ms` (recovery scans,
   /// log replay), then calls `done`.  Queued I/O waits behind it.
-  void Seize(double duration_ms, std::function<void()> done);
+  void Seize(double duration_ms, desp::Scheduler::Action done);
 
   /// Enables the transient-fault model (paper §5 "benign failures"):
   /// each physical I/O independently fails with probability `fault_prob`
@@ -74,15 +77,26 @@ class IoSubsystemActor : public desp::Actor {
   void SetTracer(obs::SpanTracer* tracer) { tracer_ = tracer; }
 
  private:
-  void ExecuteNext(std::shared_ptr<std::vector<storage::PageIo>> ios,
-                   size_t index, std::function<void()> done);
+  struct Batch {
+    std::vector<storage::PageIo> ios;
+    size_t index = 0;
+    desp::Scheduler::Action done;
+    void Recycle() {
+      ios.clear();
+      done = nullptr;
+    }
+  };
+  using BatchHandle = desp::SlotPool<Batch>::Handle;
+
+  /// Requests the disk for the batch's next I/O, or finishes the batch.
+  void ExecuteNext(BatchHandle h);
   /// Completion of one physical I/O: release the disk, run the next.
-  void FinishIo(std::shared_ptr<std::vector<storage::PageIo>> ios,
-                size_t index, std::function<void()> done);
+  void FinishIo(BatchHandle h);
   double FaultPenalty();
 
   desp::Resource disk_;
   storage::DiskModel disk_model_;
+  desp::SlotPool<Batch> batches_;
   bool faults_enabled_ = false;
   double fault_prob_ = 0.0;
   double retry_penalty_ms_ = 0.0;

@@ -19,28 +19,33 @@ double NetworkActor::TransferTime(uint64_t bytes) const {
   return static_cast<double>(bytes) / (throughput_mbps_ * 1000.0);
 }
 
-void NetworkActor::Transfer(uint64_t bytes, std::function<void()> done) {
+void NetworkActor::Transfer(uint64_t bytes, desp::Scheduler::Action done) {
   VOODB_CHECK_MSG(static_cast<bool>(done), "Transfer needs a continuation");
   bytes_transferred_ += bytes;
   if (infinite()) {
     done();
     return;
   }
-  if (tracer_ != nullptr) {
-    const double requested_at = Now();
-    link_.AcquireFor(TransferTime(bytes),
-                     [this, bytes, requested_at, done = std::move(done)]() {
-                       // Runs in the requester's trace context (resource
-                       // grants restore it; the service wait inherits).
-                       tracer_->AmbientLeaf(obs::SpanKind::kNet, bytes,
-                                            requested_at, Now());
-                       done();
-                     });
-    return;
-  }
-  link_.AcquireFor(TransferTime(bytes), std::move(done));
+  const TransitHandle h = in_transit_.Alloc();
+  InTransit& transfer = in_transit_.At(h);
+  transfer.bytes = bytes;
+  transfer.requested_at = Now();
+  transfer.done = std::move(done);
+  link_.AcquireFor(TransferTime(bytes), [this, h]() { FinishTransfer(h); });
 }
 
+void NetworkActor::FinishTransfer(TransitHandle h) {
+  InTransit& transfer = in_transit_.At(h);
+  if (tracer_ != nullptr) {
+    // Runs in the requester's trace context (resource grants restore it;
+    // the service wait inherits).
+    tracer_->AmbientLeaf(obs::SpanKind::kNet, transfer.bytes,
+                         transfer.requested_at, Now());
+  }
+  desp::Scheduler::Action done = std::move(transfer.done);
+  in_transit_.Free(h);
+  done();
+}
 
 void NetworkActor::RegisterMetrics(obs::MetricRegistry& registry) const {
   registry.RegisterCounter("net.bytes", &bytes_transferred_);

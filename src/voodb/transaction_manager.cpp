@@ -34,51 +34,20 @@ TransactionManagerActor::TransactionManagerActor(
   }
 }
 
-TransactionManagerActor::Handle TransactionManagerActor::AllocInFlight() {
-  uint32_t index;
-  if (!free_slots_.empty()) {
-    index = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    index = static_cast<uint32_t>(pool_.size());
-    pool_.emplace_back();
-  }
-  Slot& slot = pool_[index];
-  slot.live = true;
-  ++pool_live_;
-  return Handle{index, slot.generation};
-}
-
-TransactionManagerActor::InFlight& TransactionManagerActor::At(Handle h) {
-  VOODB_CHECK_MSG(h.index < pool_.size(), "bad in-flight handle");
-  Slot& slot = pool_[h.index];
-  VOODB_CHECK_MSG(slot.live && slot.generation == h.generation,
-                  "stale in-flight handle (slot recycled)");
-  return slot.state;
-}
-
-void TransactionManagerActor::FreeInFlight(Handle h) {
-  Slot& slot = pool_[h.index];
-  VOODB_CHECK_MSG(slot.live && slot.generation == h.generation,
-                  "double free of in-flight handle");
-  // Recycle keeping heap capacity (txn access vector, done target).
-  slot.state.txn.accesses.clear();
-  slot.state.next_access = 0;
-  slot.state.response_bytes = 0;
-  slot.state.attempts = 0;
-  slot.state.trace = 0;
-  slot.state.backoff_started = 0.0;
-  slot.state.done = nullptr;
-  slot.live = false;
-  ++slot.generation;  // invalidate any still-outstanding handle
-  --pool_live_;
-  free_slots_.push_back(h.index);
+void TransactionManagerActor::InFlight::Recycle() {
+  txn.accesses.clear();
+  next_access = 0;
+  response_bytes = 0;
+  attempts = 0;
+  trace = 0;
+  backoff_started = 0.0;
+  done = nullptr;
 }
 
 void TransactionManagerActor::Submit(ocb::Transaction txn,
-                                     std::function<void()> done) {
+                                     desp::Scheduler::Action done) {
   VOODB_CHECK_MSG(static_cast<bool>(done), "Submit needs a continuation");
-  const Handle h = AllocInFlight();
+  const Handle h = pool_.Alloc();
   InFlight& state = At(h);
   state.txn = std::move(txn);
   state.done = std::move(done);
@@ -87,7 +56,7 @@ void TransactionManagerActor::Submit(ocb::Transaction txn,
   // submissions, and the stitch belongs to THIS transaction.
   const uint64_t trace_parent =
       tracer_ != nullptr ? tracer_->TakePendingParent() : 0;
-  db_scheduler_.AcquireAction([this, h, submitted_at, trace_parent]() {
+  db_scheduler_.Acquire([this, h, submitted_at, trace_parent]() {
     InFlight& s = At(h);
     s.admitted_at = submitted_at;  // response time includes queueing
     s.txn_id = next_txn_id_++;
@@ -282,56 +251,59 @@ void TransactionManagerActor::Commit(Handle h) {
   const double release_cost =
       config_.release_lock_ms *
       static_cast<double>(state.txn.accesses.size());
-  auto finish = [this, h]() {
-    auto complete = [this, h]() {
-      auto retire = [this, h]() {
-        InFlight& s = At(h);
-        {
-          desp::TraceScope ts(&scheduler(), s.trace);
-          if (protocol_ != nullptr) {
-            protocol_->Commit(s.txn_id);  // strict 2PL release / install
-            retry_histogram_.Add(static_cast<double>(s.attempts - 1));
-          }
-          clustering_->OnTransactionEnd();
-          db_scheduler_.Release();
-          ++committed_;
-          const double response = Now() - s.admitted_at;
-          response_times_.Add(response);
-          response_histogram_.Add(response);
-          if (tracer_ != nullptr) {
-            if (s.trace != 0) {
-              tracer_->Close(s.trace, Now());  // kCommit
-              tracer_->Close(s.trace, Now());  // the committed kAttempt
-            }
-            // With trace == 0 this clears the cross-shard stitch anchor.
-            tracer_->FinishCommitted(s.trace, response, Now());
-          }
-        }
-        // The continuation is the driver's, not this transaction's: run
-        // it (and schedule its events) outside the trace context.
-        desp::TraceScope clear(&scheduler(), 0);
-        auto done = std::move(s.done);
-        FreeInFlight(h);
-        done();
-      };
-      if (config_.flush_on_commit) {
-        buffering_->Flush(std::move(retire));
-      } else {
-        retire();
-      }
-    };
-    if (config_.system_class == SystemClass::kDbServer &&
-        At(h).response_bytes > 0) {
-      network_->Transfer(At(h).response_bytes, std::move(complete));
-    } else {
-      complete();
-    }
-  };
   if (release_cost > 0.0) {
-    cpu_.AcquireFor(release_cost, std::move(finish));
+    cpu_.AcquireFor(release_cost, [this, h]() { ShipResults(h); });
   } else {
-    finish();
+    ShipResults(h);
   }
+}
+
+void TransactionManagerActor::ShipResults(Handle h) {
+  const uint64_t bytes = At(h).response_bytes;
+  if (config_.system_class == SystemClass::kDbServer && bytes > 0) {
+    network_->Transfer(bytes, [this, h]() { FlushAndRetire(h); });
+  } else {
+    FlushAndRetire(h);
+  }
+}
+
+void TransactionManagerActor::FlushAndRetire(Handle h) {
+  if (config_.flush_on_commit) {
+    buffering_->Flush([this, h]() { Retire(h); });
+  } else {
+    Retire(h);
+  }
+}
+
+void TransactionManagerActor::Retire(Handle h) {
+  InFlight& s = At(h);
+  {
+    desp::TraceScope ts(&scheduler(), s.trace);
+    if (protocol_ != nullptr) {
+      protocol_->Commit(s.txn_id);  // strict 2PL release / install
+      retry_histogram_.Add(static_cast<double>(s.attempts - 1));
+    }
+    clustering_->OnTransactionEnd();
+    db_scheduler_.Release();
+    ++committed_;
+    const double response = Now() - s.admitted_at;
+    response_times_.Add(response);
+    response_histogram_.Add(response);
+    if (tracer_ != nullptr) {
+      if (s.trace != 0) {
+        tracer_->Close(s.trace, Now());  // kCommit
+        tracer_->Close(s.trace, Now());  // the committed kAttempt
+      }
+      // With trace == 0 this clears the cross-shard stitch anchor.
+      tracer_->FinishCommitted(s.trace, response, Now());
+    }
+  }
+  // The continuation is the driver's, not this transaction's: run it (and
+  // schedule its events) outside the trace context.
+  desp::TraceScope clear(&scheduler(), 0);
+  desp::Scheduler::Action done = std::move(s.done);
+  pool_.Free(h);
+  done();
 }
 
 void TransactionManagerActor::SetTracer(obs::SpanTracer* tracer) {

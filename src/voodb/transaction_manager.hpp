@@ -16,17 +16,16 @@
 /// restarts aborted attempts after a randomized backoff — identically
 /// for lock-based, multiversion, and optimistic schemes.
 ///
-/// In-flight transaction state lives in a generation-counted slot pool
-/// (the DES arena discipline): continuations capture an 8-byte handle,
-/// not a `shared_ptr`, so the steady-state hot path performs no
-/// allocation per attempt and the pool size is bounded by the
-/// multiprogramming level, not the run length.
+/// In-flight transaction state, including the caller's `done`, lives in a
+/// generation-counted `desp::SlotPool` (the DES arena discipline): every
+/// continuation captures `{this, handle}` plus a few words, never another
+/// continuation, so the steady-state hot path performs no allocation per
+/// attempt and the pool size is bounded by the transactions in flight,
+/// not the run length.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <vector>
 
 #include "cc/protocol.hpp"
 #include "desp/actor.hpp"
@@ -34,6 +33,7 @@
 #include "desp/random.hpp"
 #include "desp/resource.hpp"
 #include "desp/scheduler.hpp"
+#include "desp/slot_pool.hpp"
 #include "desp/stats.hpp"
 #include "ocb/types.hpp"
 #include "voodb/buffering_manager.hpp"
@@ -65,7 +65,7 @@ class TransactionManagerActor : public desp::Actor {
 
   /// Executes `txn` to commit, then calls `done`.  Transactions beyond
   /// the multiprogramming level queue at the database scheduler.
-  void Submit(ocb::Transaction txn, std::function<void()> done);
+  void Submit(ocb::Transaction txn, desp::Scheduler::Action done);
 
   uint64_t committed() const { return committed_; }
   uint64_t object_operations() const { return object_operations_; }
@@ -84,8 +84,8 @@ class TransactionManagerActor : public desp::Actor {
   /// In-flight slot-pool occupancy/capacity — the capacity is bounded by
   /// the concurrency in flight, never by transactions run (micro_cc
   /// asserts this).
-  size_t inflight_pool_live() const { return pool_live_; }
-  size_t inflight_pool_capacity() const { return pool_.size(); }
+  size_t inflight_pool_live() const { return pool_.live(); }
+  size_t inflight_pool_capacity() const { return pool_.capacity(); }
 
   /// Attaches/detaches (nullptr) a trace recorder; aborted attempts are
   /// recorded as kTxnAbort markers so contention runs replay as full
@@ -117,26 +117,13 @@ class TransactionManagerActor : public desp::Actor {
     uint64_t attempts = 0;        // 1 + restarts of this transaction
     uint32_t trace = 0;           // span-tracer context (0 = untraced)
     double backoff_started = 0.0;  // restart backoff span begin
-    std::function<void()> done;
+    desp::Scheduler::Action done;
+    /// Keeps the access vector's capacity for the next transaction.
+    void Recycle();
   };
-  /// Generation-counted reference into the slot pool.  Continuations
-  /// capture this by value and re-resolve on fire, so pool growth never
-  /// invalidates an outstanding callback and a stale handle is caught by
-  /// the generation check instead of corrupting a recycled slot.
-  struct Handle {
-    uint32_t index = 0;
-    uint32_t generation = 0;
-  };
-  struct Slot {
-    InFlight state;
-    uint32_t generation = 0;
-    bool live = false;
-  };
+  using Handle = desp::SlotPool<InFlight>::Handle;
 
-  Handle AllocInFlight();
-  InFlight& At(Handle h);
-  void FreeInFlight(Handle h);
-
+  InFlight& At(Handle h) { return pool_.At(h); }
   void ProcessNext(Handle h);
   /// CPU slice for the access bookkeeping done: emit the span, go on.
   void OnCpuReady(Handle h, double cpu_start);
@@ -148,7 +135,14 @@ class TransactionManagerActor : public desp::Actor {
   /// Backoff elapsed: re-register with the protocol and retry.
   void Reattempt(Handle h);
   void ShipAndContinue(Handle h, uint64_t bytes);
+  /// Commit runs as a chain of steps: validate and release locks on the
+  /// CPU, ship a DB server's accumulated results, force the buffer when
+  /// flush_on_commit is set, then retire.
   void Commit(Handle h);
+  void ShipResults(Handle h);
+  void FlushAndRetire(Handle h);
+  /// Installs the commit, records the response time and runs `done`.
+  void Retire(Handle h);
 
   const VoodbConfig config_;
   ObjectManagerActor* object_manager_;
@@ -161,9 +155,7 @@ class TransactionManagerActor : public desp::Actor {
   trace::Recorder* recorder_ = nullptr;
   obs::SpanTracer* tracer_ = nullptr;
   desp::RandomStream backoff_rng_;
-  std::vector<Slot> pool_;
-  std::vector<uint32_t> free_slots_;
-  size_t pool_live_ = 0;
+  desp::SlotPool<InFlight> pool_;
   uint64_t next_txn_id_ = 1;
   uint64_t next_age_stamp_ = 1;
   uint64_t committed_ = 0;

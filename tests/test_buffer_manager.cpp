@@ -10,6 +10,24 @@
 namespace voodb::storage {
 namespace {
 
+/// One access's result, collected through the append-only API.
+struct Outcome {
+  bool hit = false;
+  std::vector<PageIo> ios;
+};
+
+Outcome Access(BufferManager& buf, PageId page, bool write) {
+  Outcome outcome;
+  outcome.hit = buf.AccessInto(page, write, outcome.ios);
+  return outcome;
+}
+
+std::vector<PageIo> FlushAll(BufferManager& buf) {
+  std::vector<PageIo> ios;
+  buf.FlushInto(ios);
+  return ios;
+}
+
 uint64_t CountReads(const std::vector<PageIo>& ios) {
   uint64_t n = 0;
   for (const auto& io : ios) n += io.kind == PageIo::Kind::kRead ? 1 : 0;
@@ -24,12 +42,12 @@ uint64_t CountWrites(const std::vector<PageIo>& ios) {
 
 TEST(BufferManager, MissThenHit) {
   BufferManager buf(4, ReplacementPolicy::kLru);
-  const AccessOutcome miss = buf.Access(7, false);
+  const Outcome miss = Access(buf, 7, false);
   EXPECT_FALSE(miss.hit);
   ASSERT_EQ(miss.ios.size(), 1u);
   EXPECT_EQ(miss.ios[0].kind, PageIo::Kind::kRead);
   EXPECT_EQ(miss.ios[0].page, 7u);
-  const AccessOutcome hit = buf.Access(7, false);
+  const Outcome hit = Access(buf, 7, false);
   EXPECT_TRUE(hit.hit);
   EXPECT_TRUE(hit.ios.empty());
   EXPECT_EQ(buf.stats().hits, 1u);
@@ -39,16 +57,16 @@ TEST(BufferManager, MissThenHit) {
 
 TEST(BufferManager, CapacityEnforced) {
   BufferManager buf(3, ReplacementPolicy::kLru);
-  for (PageId p = 0; p < 10; ++p) buf.Access(p, false);
+  for (PageId p = 0; p < 10; ++p) Access(buf, p, false);
   EXPECT_EQ(buf.resident_pages(), 3u);
   EXPECT_EQ(buf.stats().evictions, 7u);
 }
 
 TEST(BufferManager, DirtyEvictionWritesBack) {
   BufferManager buf(2, ReplacementPolicy::kLru);
-  buf.Access(1, true);  // dirty
-  buf.Access(2, false);
-  const AccessOutcome out = buf.Access(3, false);  // evicts 1 (LRU, dirty)
+  Access(buf, 1, true);  // dirty
+  Access(buf, 2, false);
+  const Outcome out = Access(buf, 3, false);  // evicts 1 (LRU, dirty)
   EXPECT_EQ(CountWrites(out.ios), 1u);
   EXPECT_EQ(out.ios[0].page, 1u);
   EXPECT_EQ(CountReads(out.ios), 1u);
@@ -57,46 +75,46 @@ TEST(BufferManager, DirtyEvictionWritesBack) {
 
 TEST(BufferManager, CleanEvictionIsSilent) {
   BufferManager buf(2, ReplacementPolicy::kLru);
-  buf.Access(1, false);
-  buf.Access(2, false);
-  const AccessOutcome out = buf.Access(3, false);
+  Access(buf, 1, false);
+  Access(buf, 2, false);
+  const Outcome out = Access(buf, 3, false);
   EXPECT_EQ(CountWrites(out.ios), 0u);
 }
 
 TEST(BufferManager, WriteHitDirtiesExistingPage) {
   BufferManager buf(2, ReplacementPolicy::kLru);
-  buf.Access(1, false);
-  buf.Access(1, true);  // now dirty via hit
-  buf.Access(2, false);
-  const AccessOutcome out = buf.Access(3, false);  // evicts 1
+  Access(buf, 1, false);
+  Access(buf, 1, true);  // now dirty via hit
+  Access(buf, 2, false);
+  const Outcome out = Access(buf, 3, false);  // evicts 1
   EXPECT_EQ(CountWrites(out.ios), 1u);
 }
 
 TEST(BufferManager, FlushAllWritesDirtyOnly) {
   BufferManager buf(4, ReplacementPolicy::kLru);
-  buf.Access(1, true);
-  buf.Access(2, false);
-  buf.Access(3, true);
-  const std::vector<PageIo> flushed = buf.FlushAll();
+  Access(buf, 1, true);
+  Access(buf, 2, false);
+  Access(buf, 3, true);
+  const std::vector<PageIo> flushed = FlushAll(buf);
   EXPECT_EQ(flushed.size(), 2u);
   // Second flush: nothing dirty.
-  EXPECT_TRUE(buf.FlushAll().empty());
+  EXPECT_TRUE(FlushAll(buf).empty());
   EXPECT_EQ(buf.resident_pages(), 3u);  // pages stay resident
 }
 
 TEST(BufferManager, DropAllDiscardsWithoutWrites) {
   BufferManager buf(4, ReplacementPolicy::kLru);
-  buf.Access(1, true);
+  Access(buf, 1, true);
   buf.DropAll();
   EXPECT_EQ(buf.resident_pages(), 0u);
   EXPECT_FALSE(buf.Contains(1));
   // Re-admitting works fine.
-  EXPECT_FALSE(buf.Access(1, false).hit);
+  EXPECT_FALSE(Access(buf, 1, false).hit);
 }
 
 TEST(BufferManager, ResizeShrinkEvicts) {
   BufferManager buf(4, ReplacementPolicy::kLru);
-  for (PageId p = 0; p < 4; ++p) buf.Access(p, true);
+  for (PageId p = 0; p < 4; ++p) Access(buf, p, true);
   const std::vector<PageIo> evicted = buf.Resize(2);
   EXPECT_EQ(buf.resident_pages(), 2u);
   EXPECT_EQ(CountWrites(evicted), 2u);
@@ -107,7 +125,7 @@ TEST(BufferManager, ResizeShrinkWritesBackInEvictionOrder) {
   // LRU makes the victim sequence deterministic: the least recently used
   // dirty pages are written back oldest-first.
   BufferManager buf(8, ReplacementPolicy::kLru);
-  for (PageId p = 0; p < 8; ++p) buf.Access(p, true);
+  for (PageId p = 0; p < 8; ++p) Access(buf, p, true);
   const std::vector<PageIo> ios = buf.Resize(3);
   ASSERT_EQ(ios.size(), 5u);
   for (size_t i = 0; i < ios.size(); ++i) {
@@ -120,8 +138,8 @@ TEST(BufferManager, ResizeShrinkWritesBackInEvictionOrder) {
 
 TEST(BufferManager, ResizeGrowKeepsResidentsAndExtendsCapacity) {
   BufferManager buf(2, ReplacementPolicy::kLru);
-  buf.Access(1, true);
-  buf.Access(2, false);
+  Access(buf, 1, true);
+  Access(buf, 2, false);
   const std::vector<PageIo> ios = buf.Resize(6);
   EXPECT_TRUE(ios.empty());  // growing never evicts
   EXPECT_EQ(buf.capacity(), 6u);
@@ -129,10 +147,10 @@ TEST(BufferManager, ResizeGrowKeepsResidentsAndExtendsCapacity) {
   EXPECT_TRUE(buf.Contains(2));
   EXPECT_EQ(buf.DirtyPages(), 1u);
   // The widened buffer actually holds 6 pages before evicting again.
-  for (PageId p = 3; p <= 6; ++p) buf.Access(p, false);
+  for (PageId p = 3; p <= 6; ++p) Access(buf, p, false);
   EXPECT_EQ(buf.resident_pages(), 6u);
   EXPECT_EQ(buf.stats().evictions, 0u);
-  buf.Access(7, false);
+  Access(buf, 7, false);
   EXPECT_EQ(buf.resident_pages(), 6u);
   EXPECT_EQ(buf.stats().evictions, 1u);
 }
@@ -151,7 +169,7 @@ TEST_P(ResizePolicies, ShrinkGrowCycleKeepsInvariants) {
   BufferManager buf(16, GetParam());
   desp::RandomStream rng(23);
   for (int i = 0; i < 600; ++i) {
-    buf.Access(static_cast<PageId>(rng.UniformInt(0, 59)),
+    Access(buf, static_cast<PageId>(rng.UniformInt(0, 59)),
                rng.Bernoulli(0.4));
   }
   // Shrink: every eviction of a dirty page produces exactly one write.
@@ -178,7 +196,7 @@ TEST_P(ResizePolicies, ShrinkGrowCycleKeepsInvariants) {
   // Grow back and keep running: the accounting identity still holds.
   EXPECT_TRUE(buf.Resize(32).empty());
   for (int i = 0; i < 600; ++i) {
-    buf.Access(static_cast<PageId>(rng.UniformInt(0, 59)),
+    Access(buf, static_cast<PageId>(rng.UniformInt(0, 59)),
                rng.Bernoulli(0.4));
   }
   const BufferStats& s = buf.stats();
@@ -197,28 +215,28 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(BufferManager, SequentialPrefetchLoadsAhead) {
   BufferManager buf(10, ReplacementPolicy::kLru);
   buf.SetPrefetcher(std::make_unique<SequentialPrefetcher>(2, 100));
-  const AccessOutcome out = buf.Access(5, false);
+  const Outcome out = Access(buf, 5, false);
   // Read of 5 plus prefetch of 6 and 7.
   EXPECT_EQ(CountReads(out.ios), 3u);
   EXPECT_TRUE(buf.Contains(6));
   EXPECT_TRUE(buf.Contains(7));
   EXPECT_EQ(buf.stats().prefetch_reads, 2u);
   // Hitting a prefetched page is free.
-  EXPECT_TRUE(buf.Access(6, false).hit);
+  EXPECT_TRUE(Access(buf, 6, false).hit);
 }
 
 TEST(BufferManager, PrefetchRespectsMaxPage) {
   BufferManager buf(10, ReplacementPolicy::kLru);
   buf.SetPrefetcher(std::make_unique<SequentialPrefetcher>(3, 6));
-  const AccessOutcome out = buf.Access(5, false);
+  const Outcome out = Access(buf, 5, false);
   EXPECT_EQ(CountReads(out.ios), 2u);  // 5 and 6 only
 }
 
 TEST(BufferManager, PrefetchSkipsResidentPages) {
   BufferManager buf(10, ReplacementPolicy::kLru);
   buf.SetPrefetcher(std::make_unique<SequentialPrefetcher>(1, 100));
-  buf.Access(6, false);
-  const AccessOutcome out = buf.Access(5, false);
+  Access(buf, 6, false);
+  const Outcome out = Access(buf, 5, false);
   EXPECT_EQ(CountReads(out.ios), 1u);  // 6 already resident
 }
 
@@ -226,7 +244,7 @@ TEST(BufferManager, AccountingIdentityHolds) {
   BufferManager buf(8, ReplacementPolicy::kClock);
   desp::RandomStream rng(3);
   for (int i = 0; i < 5000; ++i) {
-    buf.Access(static_cast<PageId>(rng.UniformInt(0, 40)), rng.Bernoulli(0.3));
+    Access(buf, static_cast<PageId>(rng.UniformInt(0, 40)), rng.Bernoulli(0.3));
   }
   const BufferStats& s = buf.stats();
   EXPECT_EQ(s.hits + s.misses, s.accesses);
@@ -249,7 +267,7 @@ TEST_P(BufferSizes, LruMissesMonotoneInCapacity) {
     for (int i = 0; i < 8000; ++i) {
       // Zipf-like reuse with locality.
       const PageId p = static_cast<PageId>(rng.Zipf(60, 0.8));
-      buf.Access(p, false);
+      Access(buf, p, false);
     }
     return buf.stats().misses;
   };

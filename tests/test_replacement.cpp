@@ -1,6 +1,6 @@
 /// \file test_replacement.cpp
 /// \brief Tests for the buffer replacement policies (PGREP) and the
-/// open-addressing frame table they run on.
+/// open-addressing index (util::HashIndex) they run on.
 #include <gtest/gtest.h>
 
 #include <list>
@@ -16,7 +16,7 @@ namespace voodb::storage {
 namespace {
 
 /// Drives a ReplacementEngine through the same frame lifecycle the
-/// BufferManager applies (free-list frame reuse, FrameTable residency),
+/// BufferManager applies (free-list frame reuse, HashIndex residency),
 /// exposing the page-level OnAdmit/OnAccess/PickVictim/OnEvict protocol
 /// the policy contracts are written against.
 class EngineHarness {
@@ -65,11 +65,11 @@ class EngineHarness {
   ReplacementEngine engine_;
   std::vector<Frame> frames_;
   std::vector<uint32_t> free_;
-  FrameTable table_;
+  util::HashIndex table_;
 };
 
 TEST(FrameTable, InsertFindErase) {
-  FrameTable table;
+  util::HashIndex table;
   EXPECT_EQ(table.Find(7), kNoFrame);
   table.Insert(7, 0);
   table.Insert(9, 1);
@@ -85,7 +85,7 @@ TEST(FrameTable, InsertFindErase) {
 TEST(FrameTable, SurvivesGrowthAndBackwardShiftDeletion) {
   // Dense keys force long probe chains and exercise rehashing plus the
   // backward-shift deletion path; a std::map shadows the truth.
-  FrameTable table(4);
+  util::HashIndex table(4);
   std::map<PageId, uint32_t> reference;
   desp::RandomStream rng(5);
   for (int step = 0; step < 20000; ++step) {

@@ -1,11 +1,15 @@
 /// \file test_resource.cpp
-/// \brief Tests for DESP passive resources (capacity, queueing, stats).
+/// \brief Tests for DESP passive resources (capacity, queueing, stats) and
+/// the slot pool that holds their in-service requests.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <vector>
 
+#include "desp/random.hpp"
 #include "desp/resource.hpp"
 #include "desp/scheduler.hpp"
+#include "desp/slot_pool.hpp"
 #include "util/check.hpp"
 
 namespace voodb::desp {
@@ -151,6 +155,95 @@ TEST(Resource, QueueBuildsUpWhenOverloaded) {
   // Arrival rate 1, service rate 0.5: queue grows linearly.
   EXPECT_GT(r.MeanQueueLength(), 5.0);
   EXPECT_GT(r.WaitTimes().max(), 20.0);
+}
+
+TEST(Resource, WaitRingMatchesReferenceQueueUnderChurn) {
+  // Long random runs of acquires and releases push the wait ring through
+  // growth and many wrap-arounds; the grant order must match a plain
+  // vector model of each discipline.
+  for (const QueueDiscipline discipline :
+       {QueueDiscipline::kFifo, QueueDiscipline::kLifo,
+        QueueDiscipline::kPriority}) {
+    Scheduler s;
+    Resource r(&s, "r", 2, discipline);
+    RandomStream rng(3);
+    struct Queued {
+      int id;
+      double priority;
+    };
+    std::vector<Queued> model_queue;
+    uint64_t model_busy = 0;
+    std::vector<int> granted;
+    std::vector<int> expected;
+    int next_id = 0;
+    for (int step = 0; step < 5000; ++step) {
+      // Phases that mostly queue, then mostly drain, move the ring head.
+      const bool filling = (step / 250) % 2 == 0;
+      if (model_busy == 0 || rng.Bernoulli(filling ? 0.7 : 0.3)) {
+        const int id = next_id++;
+        const double priority = static_cast<double>(rng.UniformInt(0, 3));
+        r.Acquire([&granted, id] { granted.push_back(id); }, priority);
+        if (model_busy < 2) {
+          ++model_busy;
+          expected.push_back(id);
+        } else {
+          model_queue.push_back(Queued{id, priority});
+        }
+      } else {
+        r.Release();
+        --model_busy;
+        if (!model_queue.empty()) {
+          size_t pick = 0;
+          if (discipline == QueueDiscipline::kLifo) {
+            pick = model_queue.size() - 1;
+          } else if (discipline == QueueDiscipline::kPriority) {
+            for (size_t i = 1; i < model_queue.size(); ++i) {
+              if (model_queue[i].priority > model_queue[pick].priority) {
+                pick = i;
+              }
+            }
+          }
+          expected.push_back(model_queue[pick].id);
+          model_queue.erase(model_queue.begin() +
+                            static_cast<std::ptrdiff_t>(pick));
+          ++model_busy;
+        }
+      }
+      s.Run();
+      ASSERT_EQ(r.QueueLength(), model_queue.size()) << "step " << step;
+    }
+    EXPECT_EQ(granted, expected) << ToString(discipline);
+  }
+}
+
+struct PooledState {
+  std::vector<int> values;
+  void Recycle() { values.clear(); }
+};
+
+TEST(SlotPool, RecyclesSlotsAndRejectsStaleHandles) {
+  SlotPool<PooledState> pool;
+  const auto a = pool.Alloc();
+  const auto b = pool.Alloc();
+  pool.At(a).values.assign(100, 1);
+  const int* storage = pool.At(a).values.data();
+  EXPECT_EQ(pool.live(), 2u);
+  pool.Free(a);
+  EXPECT_THROW(pool.At(a), util::Error);  // stale: the slot was freed
+  EXPECT_THROW(pool.Free(a), util::Error);
+  // The freed slot comes back cleared but with its capacity kept, under a
+  // new generation, so the old handle stays stale.
+  const auto c = pool.Alloc();
+  EXPECT_EQ(c.index, a.index);
+  EXPECT_NE(c.generation, a.generation);
+  EXPECT_TRUE(pool.At(c).values.empty());
+  pool.At(c).values.push_back(2);
+  EXPECT_EQ(pool.At(c).values.data(), storage);
+  EXPECT_THROW(pool.At(a), util::Error);
+  pool.Free(b);
+  pool.Free(c);
+  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(pool.capacity(), 2u);  // peak concurrency, not allocations
 }
 
 }  // namespace

@@ -238,10 +238,12 @@ TEST(FlatFrameCacheModel, MatchesSortedMapReferenceOnRandomTraces) {
       BufferManager flat(capacity, ReplacementPolicy::kLru);
       SortedMapLruCache reference(capacity);
       desp::RandomStream rng(seed);
+      std::vector<storage::PageIo> ios;
       for (int step = 0; step < 20000; ++step) {
         const PageId page = static_cast<PageId>(rng.UniformInt(0, 199));
         const bool write = rng.Bernoulli(0.3);
-        const bool flat_hit = flat.Access(page, write).hit;
+        ios.clear();
+        const bool flat_hit = flat.AccessInto(page, write, ios);
         const bool ref_hit = reference.Access(page, write);
         ASSERT_EQ(flat_hit, ref_hit)
             << "capacity " << capacity << " seed " << seed << " step "

@@ -17,6 +17,24 @@ VmParameters Params(uint64_t frames, bool dirty_on_load = true,
   return p;
 }
 
+/// One access's result, collected through the append-only API.
+struct Outcome {
+  bool hit = false;
+  std::vector<PageIo> ios;
+};
+
+Outcome Touch(VirtualMemoryModel& vm, PageId page, bool write) {
+  Outcome outcome;
+  outcome.hit = vm.TouchInto(page, write, outcome.ios);
+  return outcome;
+}
+
+std::vector<PageIo> Reserve(VirtualMemoryModel& vm, PageId page) {
+  std::vector<PageIo> ios;
+  vm.ReserveInto(page, ios);
+  return ios;
+}
+
 uint64_t Writes(const std::vector<PageIo>& ios) {
   uint64_t n = 0;
   for (const auto& io : ios) n += io.kind == PageIo::Kind::kWrite ? 1 : 0;
@@ -25,11 +43,11 @@ uint64_t Writes(const std::vector<PageIo>& ios) {
 
 TEST(VirtualMemory, FaultReadsThenHits) {
   VirtualMemoryModel vm(Params(4));
-  const AccessOutcome fault = vm.Touch(3, false);
+  const Outcome fault = Touch(vm, 3, false);
   EXPECT_FALSE(fault.hit);
   ASSERT_EQ(fault.ios.size(), 1u);
   EXPECT_EQ(fault.ios[0].kind, PageIo::Kind::kRead);
-  const AccessOutcome hit = vm.Touch(3, false);
+  const Outcome hit = Touch(vm, 3, false);
   EXPECT_TRUE(hit.hit);
   EXPECT_TRUE(hit.ios.empty());
   EXPECT_EQ(vm.stats().faults, 1u);
@@ -38,45 +56,45 @@ TEST(VirtualMemory, FaultReadsThenHits) {
 
 TEST(VirtualMemory, DirtyOnLoadMakesEvictionsSwap) {
   VirtualMemoryModel vm(Params(2, /*dirty_on_load=*/true));
-  vm.Touch(1, false);
-  vm.Touch(2, false);
-  const AccessOutcome out = vm.Touch(3, false);  // evicts page 1
+  Touch(vm, 1, false);
+  Touch(vm, 2, false);
+  const Outcome out = Touch(vm, 3, false);  // evicts page 1
   EXPECT_EQ(Writes(out.ios), 1u);  // swizzled page swaps out
   EXPECT_EQ(vm.stats().swap_writes, 1u);
 }
 
 TEST(VirtualMemory, CleanModeEvictsSilently) {
   VirtualMemoryModel vm(Params(2, /*dirty_on_load=*/false));
-  vm.Touch(1, false);
-  vm.Touch(2, false);
-  const AccessOutcome out = vm.Touch(3, false);
+  Touch(vm, 1, false);
+  Touch(vm, 2, false);
+  const Outcome out = Touch(vm, 3, false);
   EXPECT_EQ(Writes(out.ios), 0u);
 }
 
 TEST(VirtualMemory, ExplicitWriteDirtiesEvenWithoutSwizzle) {
   VirtualMemoryModel vm(Params(2, /*dirty_on_load=*/false));
-  vm.Touch(1, true);  // store into the page
-  vm.Touch(2, false);
-  const AccessOutcome out = vm.Touch(3, false);
+  Touch(vm, 1, true);  // store into the page
+  Touch(vm, 2, false);
+  const Outcome out = Touch(vm, 3, false);
   EXPECT_EQ(Writes(out.ios), 1u);
 }
 
 TEST(VirtualMemory, ReserveAllocatesFrameWithoutRead) {
   VirtualMemoryModel vm(Params(4));
-  const std::vector<PageIo> ios = vm.Reserve(9);
+  const std::vector<PageIo> ios = Reserve(vm, 9);
   EXPECT_TRUE(ios.empty());
   EXPECT_EQ(vm.resident_frames(), 1u);
   EXPECT_FALSE(vm.IsLoaded(9));  // reserved, not loaded
   EXPECT_EQ(vm.stats().reservations, 1u);
   // Re-reserving is a no-op.
-  vm.Reserve(9);
+  Reserve(vm, 9);
   EXPECT_EQ(vm.stats().reservations, 1u);
 }
 
 TEST(VirtualMemory, TouchingReservedPageStillReads) {
   VirtualMemoryModel vm(Params(4));
-  vm.Reserve(9);
-  const AccessOutcome out = vm.Touch(9, false);
+  Reserve(vm, 9);
+  const Outcome out = Touch(vm, 9, false);
   EXPECT_FALSE(out.hit);  // contents were never loaded
   ASSERT_EQ(out.ios.size(), 1u);
   EXPECT_EQ(out.ios[0].kind, PageIo::Kind::kRead);
@@ -87,9 +105,9 @@ TEST(VirtualMemory, TouchingReservedPageStillReads) {
 TEST(VirtualMemory, ReservedEvictionCostsNothing) {
   VirtualMemoryModel vm(Params(2, /*dirty_on_load=*/true,
                                /*hot=*/false));
-  vm.Reserve(1);
-  vm.Reserve(2);
-  const std::vector<PageIo> ios = vm.Reserve(3);  // evicts a reservation
+  Reserve(vm, 1);
+  Reserve(vm, 2);
+  const std::vector<PageIo> ios = Reserve(vm, 3);  // evicts a reservation
   EXPECT_TRUE(ios.empty());
   EXPECT_EQ(vm.stats().reserved_evictions, 1u);
 }
@@ -98,10 +116,10 @@ TEST(VirtualMemory, ColdReservationsSelfCannibalize) {
   // With cold insertion (default), reservations evict the LRU end where
   // earlier reservations sit, sparing loaded pages.
   VirtualMemoryModel vm(Params(3, true, /*hot=*/false));
-  vm.Touch(1, false);
-  vm.Touch(2, false);
-  vm.Reserve(10);
-  vm.Reserve(11);  // evicts reservation 10, not pages 1/2
+  Touch(vm, 1, false);
+  Touch(vm, 2, false);
+  Reserve(vm, 10);
+  Reserve(vm, 11);  // evicts reservation 10, not pages 1/2
   EXPECT_TRUE(vm.IsLoaded(1));
   EXPECT_TRUE(vm.IsLoaded(2));
   EXPECT_EQ(vm.stats().reserved_evictions, 1u);
@@ -111,17 +129,17 @@ TEST(VirtualMemory, HotReservationsEvictLoadedPages) {
   // With MRU insertion (Linux 2.0 pathology), reservations push loaded
   // pages out — the mechanism behind Figure 11's exponential swap.
   VirtualMemoryModel vm(Params(3, true, /*hot=*/true));
-  vm.Touch(1, false);
-  vm.Touch(2, false);
-  vm.Touch(3, false);
-  const std::vector<PageIo> ios = vm.Reserve(10);  // evicts page 1 (dirty)
+  Touch(vm, 1, false);
+  Touch(vm, 2, false);
+  Touch(vm, 3, false);
+  const std::vector<PageIo> ios = Reserve(vm, 10);  // evicts page 1 (dirty)
   EXPECT_EQ(Writes(ios), 1u);
   EXPECT_FALSE(vm.IsLoaded(1));
 }
 
 TEST(VirtualMemory, ResizeEvictsDown) {
   VirtualMemoryModel vm(Params(8));
-  for (PageId p = 0; p < 8; ++p) vm.Touch(p, false);
+  for (PageId p = 0; p < 8; ++p) Touch(vm, p, false);
   const std::vector<PageIo> ios = vm.Resize(3);
   EXPECT_EQ(vm.resident_frames(), 3u);
   EXPECT_EQ(Writes(ios), 5u);  // dirty-on-load pages swap out
@@ -129,8 +147,8 @@ TEST(VirtualMemory, ResizeEvictsDown) {
 
 TEST(VirtualMemory, DropAllForgetsEverything) {
   VirtualMemoryModel vm(Params(8));
-  vm.Touch(1, false);
-  vm.Reserve(2);
+  Touch(vm, 1, false);
+  Reserve(vm, 2);
   vm.DropAll();
   EXPECT_EQ(vm.resident_frames(), 0u);
   EXPECT_FALSE(vm.IsLoaded(1));
@@ -138,18 +156,18 @@ TEST(VirtualMemory, DropAllForgetsEverything) {
 
 TEST(VirtualMemory, LruOrderRespectedForLoadedPages) {
   VirtualMemoryModel vm(Params(2, /*dirty_on_load=*/false));
-  vm.Touch(1, false);
-  vm.Touch(2, false);
-  vm.Touch(1, false);  // 1 is MRU
-  vm.Touch(3, false);  // evicts 2
+  Touch(vm, 1, false);
+  Touch(vm, 2, false);
+  Touch(vm, 1, false);  // 1 is MRU
+  Touch(vm, 3, false);  // evicts 2
   EXPECT_TRUE(vm.IsLoaded(1));
   EXPECT_FALSE(vm.IsLoaded(2));
 }
 
 TEST(VirtualMemory, StatsAccounting) {
   VirtualMemoryModel vm(Params(4));
-  for (PageId p = 0; p < 6; ++p) vm.Touch(p, false);
-  vm.Touch(5, false);
+  for (PageId p = 0; p < 6; ++p) Touch(vm, p, false);
+  Touch(vm, 5, false);
   const VmStats& s = vm.stats();
   EXPECT_EQ(s.touches, 7u);
   EXPECT_EQ(s.faults, 6u);
