@@ -30,6 +30,7 @@
 #include "cc/kind.hpp"
 #include "desp/histogram.hpp"
 #include "desp/scheduler.hpp"
+#include "desp/slot_pool.hpp"
 #include "desp/stats.hpp"
 #include "ocb/types.hpp"
 #include "util/check.hpp"
@@ -76,39 +77,36 @@ struct CcStats {
   }
 };
 
-/// Pooled per-transaction state: a slab of `State` slots recycled through
-/// a free list and found through a `util::HashIndex`, so per-attempt
-/// registration reuses the previous attempt's vector capacities and
-/// index slots instead of allocating (the kernel's zero-allocation
-/// discipline applied to protocol bookkeeping).  `State::Recycle()` must
-/// clear the slot for reuse while keeping capacity.
+/// Pooled per-transaction state: `State` slots in a `desp::SlotPool`,
+/// found through a `util::HashIndex`, so per-attempt registration reuses
+/// the previous attempt's vector capacities and index slots instead of
+/// allocating (the kernel's zero-allocation discipline applied to
+/// protocol bookkeeping).  `State::Recycle()` must clear the slot for
+/// reuse while keeping capacity.
 template <typename State>
 class TxnTable {
  public:
   State& Begin(uint64_t txn) {
     VOODB_CHECK_MSG(index_.Find(txn) == util::HashIndex::kNone,
                     "transaction " << txn << " already active");
-    uint32_t slot;
-    if (!free_.empty()) {
-      slot = free_.back();
-      free_.pop_back();
-    } else {
-      slot = static_cast<uint32_t>(slots_.size());
-      slots_.emplace_back();
-    }
-    index_.Insert(txn, slot);
-    slots_[slot].txn = txn;
-    slots_[slot].live = true;
-    return slots_[slot].state;
+    const auto handle = pool_.Alloc();
+    index_.Insert(txn, handle.index);
+    Entry& entry = pool_.At(handle);
+    entry.txn = txn;
+    return entry.state;
   }
 
   State* Find(uint64_t txn) {
     const uint32_t slot = index_.Find(txn);
-    return slot == util::HashIndex::kNone ? nullptr : &slots_[slot].state;
+    return slot == util::HashIndex::kNone
+               ? nullptr
+               : &pool_.At(pool_.HandleAt(slot)).state;
   }
   const State* Find(uint64_t txn) const {
     const uint32_t slot = index_.Find(txn);
-    return slot == util::HashIndex::kNone ? nullptr : &slots_[slot].state;
+    return slot == util::HashIndex::kNone
+               ? nullptr
+               : &pool_.At(pool_.HandleAt(slot)).state;
   }
 
   State& At(uint64_t txn) {
@@ -122,9 +120,7 @@ class TxnTable {
     const uint32_t slot = index_.Find(txn);
     VOODB_CHECK_MSG(slot != util::HashIndex::kNone,
                     "transaction " << txn << " not active");
-    slots_[slot].state.Recycle();
-    slots_[slot].live = false;
-    free_.push_back(slot);
+    pool_.Free(pool_.HandleAt(slot));
     index_.Erase(txn);
   }
 
@@ -134,26 +130,23 @@ class TxnTable {
   /// that can reach the scheduler.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const Slot& slot : slots_) {
-      if (slot.live) fn(slot.txn, slot.state);
-    }
+    pool_.ForEachLive([&](const Entry& entry) { fn(entry.txn, entry.state); });
   }
 
   size_t active() const { return index_.size(); }
   /// Slots ever constructed — bounded by peak concurrency, not by the
   /// number of transactions run (the pooling witness micro_cc asserts).
-  size_t capacity() const { return slots_.size(); }
+  size_t capacity() const { return pool_.capacity(); }
 
  private:
-  struct Slot {
+  struct Entry {
     State state;
     uint64_t txn = 0;
-    bool live = false;
+    void Recycle() { state.Recycle(); }
   };
 
   util::HashIndex index_;
-  std::vector<Slot> slots_;
-  std::vector<uint32_t> free_;
+  desp::SlotPool<Entry> pool_;
 };
 
 /// The protocol interface the Transaction Manager drives.

@@ -139,29 +139,27 @@ void ParallelScheduler::DeliverMail() {
     merged.clear();
     for (size_t from = 0; from < n; ++from) {
       std::vector<Envelope>& box = mail_[from * n + to];
-      for (Envelope& envelope : box) merged.push_back(std::move(envelope));
+      for (size_t i = 0; i < box.size(); ++i) {
+        box[i].source = static_cast<uint32_t>(from);
+        box[i].position = static_cast<uint32_t>(i);
+        merged.push_back(std::move(box[i]));
+      }
       box.clear();
     }
     if (merged.empty()) continue;
-    // Stable: equal (time, priority) keeps source-ascending order and
-    // per-edge FIFO, so the target's seq assignment — and with it the
-    // whole downstream execution — is a pure function of mailbox
-    // contents, not of which thread ran which partition.  An insertion
-    // sort: each mailbox arrives nearly sorted, and unlike
-    // std::stable_sort it needs no temporary buffer.
-    const auto before = [](const Envelope& a, const Envelope& b) {
-      if (a.time != b.time) return a.time < b.time;
-      return a.priority > b.priority;
-    };
-    for (size_t i = 1; i < merged.size(); ++i) {
-      if (!before(merged[i], merged[i - 1])) continue;
-      Envelope moving = std::move(merged[i]);
-      size_t j = i;
-      for (; j > 0 && before(moving, merged[j - 1]); --j) {
-        merged[j] = std::move(merged[j - 1]);
-      }
-      merged[j] = std::move(moving);
-    }
+    // Equal (time, priority) falls back to source-ascending order and
+    // per-edge FIFO — a total order, so the target's seq assignment (and
+    // with it the whole downstream execution) is a pure function of
+    // mailbox contents, not of which thread ran which partition.  The
+    // explicit tie-break gives std::stable_sort's order without its
+    // temporary buffer.
+    std::sort(merged.begin(), merged.end(),
+              [](const Envelope& a, const Envelope& b) {
+                if (a.time != b.time) return a.time < b.time;
+                if (a.priority != b.priority) return a.priority > b.priority;
+                if (a.source != b.source) return a.source < b.source;
+                return a.position < b.position;
+              });
     cross_events_ += merged.size();
     for (Envelope& envelope : merged) {
       schedulers_[to]->ScheduleAt(envelope.time, std::move(envelope.action),

@@ -18,8 +18,8 @@
 ///      path.
 ///   3. Cross-partition sends are buffered in per-edge mailboxes during
 ///      the window and delivered at the barrier, in a fixed order
-///      (target ascending, then stable (time, priority) with per-edge
-///      FIFO preserved), before the next window starts.
+///      (target ascending, then (time, priority), ties broken by source
+///      ascending and per-edge FIFO), before the next window starts.
 ///
 /// Because each partition's intra-window execution is the ordinary serial
 /// `Scheduler` (deterministic by `(time, priority, seq)`), and barrier
@@ -131,6 +131,10 @@ class ParallelScheduler {
     SimTime time;  ///< absolute delivery time
     int priority;
     Scheduler::Action action;
+    /// Sending partition and index in its mailbox, set by DeliverMail
+    /// as the sort's tie-break.
+    uint32_t source = 0;
+    uint32_t position = 0;
   };
 
   /// Drains every mailbox into its target partition, in deterministic

@@ -49,8 +49,11 @@ class SlotPool {
   }
 
   T& At(Handle h) {
+    return const_cast<T&>(static_cast<const SlotPool&>(*this).At(h));
+  }
+  const T& At(Handle h) const {
     VOODB_CHECK_MSG(h.index < slots_.size(), "bad slot handle");
-    Slot& slot = slots_[h.index];
+    const Slot& slot = slots_[h.index];
     VOODB_CHECK_MSG(slot.live && slot.generation == h.generation,
                     "stale slot handle (slot recycled)");
     return slot.value;
@@ -67,6 +70,23 @@ class SlotPool {
     ++slot.generation;
     --live_;
     free_.push_back(h.index);
+  }
+
+  /// The handle of live slot `index`, for owners that key slots by index
+  /// through their own map (that map, not the generation, guards them).
+  Handle HandleAt(uint32_t index) const {
+    VOODB_CHECK_MSG(index < slots_.size() && slots_[index].live,
+                    "slot " << index << " is not live");
+    return Handle{index, slots_[index].generation};
+  }
+
+  /// Applies `fn(value)` to every live slot in slot order, which depends
+  /// on the pool's reuse history: use only for order-insensitive work.
+  template <typename Fn>
+  void ForEachLive(Fn&& fn) const {
+    for (const Slot& slot : slots_) {
+      if (slot.live) fn(slot.value);
+    }
   }
 
   /// Slots in use.

@@ -3,10 +3,12 @@
 /// determinism, and the bit-identity contract at every thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "desp/parallel_scheduler.hpp"
@@ -145,6 +147,48 @@ TEST(ParallelScheduler, CrossPartitionDeliveryHonorsTimePriorityAndSource) {
   EXPECT_EQ(order, (std::vector<std::string>{"local", "from1-high",
                                              "from0-low", "from1-low"}));
   EXPECT_EQ(ps.CrossEvents(), 3u);
+}
+
+TEST(ParallelScheduler, MailDeliveryMatchesStableSortOfSourceOrder) {
+  // Out-of-order mailboxes with many equal (time, priority) keys: the
+  // delivered order must be the stable sort, by (time, priority desc), of
+  // the mail concatenated in source order with per-edge FIFO kept.
+  constexpr size_t kSources = 4;
+  constexpr int kPerEdge = 300;
+  ParallelScheduler::Options options;
+  options.partitions = kSources + 1;
+  ParallelScheduler ps(options);
+  ps.SetUniformEdgeDelay(1.0);
+  struct Sent {
+    double time;
+    int priority;
+    size_t source;
+    int index;
+  };
+  std::vector<Sent> sent;
+  std::vector<std::pair<size_t, int>> delivered;
+  RandomStream rng(7);
+  for (size_t from = 0; from < kSources; ++from) {
+    for (int i = 0; i < kPerEdge; ++i) {
+      const double time = 1.0 + static_cast<double>(rng.UniformInt(0, 5));
+      const int priority = static_cast<int>(rng.UniformInt(0, 1));
+      sent.push_back(Sent{time, priority, from, i});
+      ps.SendTo(from, kSources, time,
+                [&delivered, from, i] { delivered.emplace_back(from, i); },
+                priority);
+    }
+  }
+  std::stable_sort(sent.begin(), sent.end(),
+                   [](const Sent& a, const Sent& b) {
+                     if (a.time != b.time) return a.time < b.time;
+                     return a.priority > b.priority;
+                   });
+  ps.Run();
+  ASSERT_EQ(delivered.size(), sent.size());
+  for (size_t k = 0; k < sent.size(); ++k) {
+    EXPECT_EQ(delivered[k], std::make_pair(sent[k].source, sent[k].index))
+        << "at position " << k;
+  }
 }
 
 TEST(ParallelScheduler, PooledRunRethrowsPartitionError) {
